@@ -47,17 +47,15 @@ type Options struct {
 	// closes: Solve and Fractional return ErrCanceled at the next LP
 	// iteration boundary (a few kernel dispatches of latency at most).
 	// The solver's buffers stay reusable — a canceled pooled solver is
-	// released and reacquired as usual. SolveMany and SolveShard ignore
-	// it: a batch amortizes work across callers, and a shard group can
-	// only abandon a solve through its exchange failing.
+	// released and reacquired as usual. SolveMany ignores it: a batch
+	// amortizes work across callers.
 	Cancel <-chan struct{}
 	// Relab, when non-nil, runs the frontier sweeps over the permuted CSR
 	// it holds (a locality-improving vertex order built once per graph by
 	// graph.Relabel) while keying every random draw and every output slot
 	// by original vertex id, so Result is indexed exactly as without it
 	// and bit-identical to the unpermuted solve. It must have been built
-	// from the graph passed to Solve/Fractional/Round. Resolve and
-	// SolveShard reject it.
+	// from the graph passed to Solve/Fractional/Round. Resolve rejects it.
 	Relab *graph.Relabeled
 	// FixedChunks disables the self-scheduled chunk claiming and restores
 	// the one-equal-word-range-per-worker split — the benchmark control
@@ -95,8 +93,8 @@ type Solver struct {
 	// cancel, when non-nil, aborts the LP drivers at the next iteration
 	// boundary (see Options.Cancel). Set per solve, cleared on return.
 	cancel <-chan struct{}
-	off     []int32
-	adj     []int32
+	off    []int32
+	adj    []int32
 
 	// per-vertex state (re-sliced to n each solve)
 	x      []float64

@@ -2,16 +2,9 @@ package kwbench
 
 import "kwmds/internal/hdr"
 
-// Histogram is the shared HDR log-linear latency histogram, re-exported
-// from internal/hdr (where it moved so the serve /metrics endpoint can use
-// it without importing the harness — kwbench's http driver imports
-// internal/server, so the dependency can only point this way). Existing
-// harness code and tests keep the kwbench.Histogram name.
-type Histogram = hdr.Histogram
-
 // latencySummary converts the histogram's percentile block into the
 // report-schema shape.
-func latencySummary(h *Histogram) LatencySummary {
+func latencySummary(h *hdr.Histogram) LatencySummary {
 	s := h.Summary()
 	return LatencySummary{
 		P50: s.P50, P90: s.P90, P99: s.P99, P999: s.P999,

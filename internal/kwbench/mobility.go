@@ -10,6 +10,7 @@ import (
 	"kwmds/internal/fastpath"
 	"kwmds/internal/gen"
 	"kwmds/internal/graph"
+	"kwmds/internal/hdr"
 	"kwmds/internal/mobility"
 	"kwmds/internal/rounding"
 )
@@ -46,7 +47,7 @@ func runMobility(sc *Scenario, opts RunOptions) (*ScenarioResult, error) {
 		graphs[e] = LoadedGraph{Name: fmt.Sprintf("epoch-%d", e), G: g}
 	}
 
-	driver, err := newDriver(sc, 1, 0)
+	driver, err := newDriver(sc, 1)
 	if err != nil {
 		return nil, err
 	}
@@ -77,7 +78,7 @@ func runMobility(sc *Scenario, opts RunOptions) (*ScenarioResult, error) {
 	prev := make([][]bool, len(combos))
 	sizes := make([]int, epochs*len(combos))
 	var kept, added, removed, transitions int
-	hist := &Histogram{}
+	hist := &hdr.Histogram{}
 	measuredOps := 0
 	var elapsed time.Duration
 	var msBefore, msAfter runtime.MemStats
@@ -135,7 +136,7 @@ func runMobility(sc *Scenario, opts RunOptions) (*ScenarioResult, error) {
 		}
 	}
 	if sc.CrossCheck {
-		checker, err := crossCheckDriver(sc, graphs, 0)
+		checker, err := crossCheckDriver(sc, graphs)
 		if err != nil {
 			return nil, err
 		}
@@ -227,7 +228,7 @@ func runMobilityDynamic(sc *Scenario, epochs int, trace *mobility.Trace) (*Scena
 	var prev []bool
 	sizes := make([]int, epochs)
 	var kept, added, removed, transitions int
-	hist := &Histogram{}
+	hist := &hdr.Histogram{}
 	measuredOps := 0
 	var elapsed, commitTotal time.Duration
 	var deltaEvents, repaired int

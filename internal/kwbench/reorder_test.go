@@ -50,7 +50,6 @@ func TestReorderSchedSpecValidation(t *testing.T) {
 		{"bad sched", func(sc *Scenario) { sc.Sched = "guided" }, "unknown sched"},
 		{"sched on sim driver", func(sc *Scenario) { sc.Driver = DriverInprocSim; sc.Sched = "fixed" }, "require the inproc-fast driver"},
 		{"reorder on http driver", func(sc *Scenario) { sc.Driver = DriverHTTPServe; sc.Reorder = true }, "require the inproc-fast driver"},
-		{"reorder with shards", func(sc *Scenario) { sc.Reorder = true; sc.Shards = []int{2} }, "mutually exclusive"},
 		{"reorder with kwcds", func(sc *Scenario) { sc.Reorder = true; sc.Matrix.Algos = []string{"kwcds"} }, "kw|kw2|frac"},
 	}
 	for _, tc := range cases {

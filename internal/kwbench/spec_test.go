@@ -418,6 +418,15 @@ func TestLoadScenarioCorpus(t *testing.T) {
 	}
 }
 
+// TestCheckedInReportValidates keeps the recorded BENCH_kwbench.json in
+// step with the report schema: the decoder rejects unknown fields, so a
+// field deleted from ScenarioResult must also leave the checked-in rows.
+func TestCheckedInReportValidates(t *testing.T) {
+	if err := ValidateReportFile(filepath.Join("..", "..", "BENCH_kwbench.json")); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestEffectiveName(t *testing.T) {
 	for _, tc := range []struct {
 		in   GraphSpec
