@@ -315,3 +315,24 @@ func BenchmarkSequentialReference(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkSolveReference is the sequential reference pipeline
+// (instrumentation gated off) on the 20k-vertex unit-disk graph that
+// internal/fastpath's BenchmarkSolveFastpath runs, so the two rows compare
+// directly.
+func BenchmarkSolveReference(b *testing.B) {
+	g, err := kwmds.UnitDisk(20000, 0.014, 109)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		ref, err := core.Reference(g, 3)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if _, err := rounding.Reference(g, ref.X, rounding.Options{Seed: 1}); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

@@ -33,102 +33,119 @@ func JRS(g *graph.Graph, seed int64, opts ...sim.Option) (*Result, error) {
 	inDS := make([]bool, n)
 	opts = append(opts, sim.WithSeed(seed))
 	engine := sim.New(g, opts...)
-	st, err := engine.Run(func(nd *sim.Node) {
+	st, err := engine.RunMachine(func(nd *sim.Node) sim.StepFunc {
+		const (
+			phSpan    = iota // inbox: coverage bits (empty at round 0)
+			phMax1           // inbox: neighbor d̂ values
+			phMax2           // inbox: neighbor first-flood maxima
+			phCands          // inbox: candidate announcements
+			phSupport        // inbox: neighbor support values
+			phSelect         // inbox: selection announcements
+		)
+		phase := phSpan
 		covered := false             // this node is dominated
 		nbrCovered := map[int]bool{} // coverage state of each neighbor
 		for _, u := range nd.Neighbors() {
 			nbrCovered[int(u)] = false
 		}
-		member := false
-		for {
-			// Halt once the entire closed neighborhood is covered: this
-			// node can no longer be a useful candidate and no neighbor
-			// needs its support value.
-			done := covered
-			for _, c := range nbrCovered {
-				if !c {
-					done = false
+		member, candidate := false, false
+		var dhat, max1, support int
+		return func(nd *sim.Node, inbox []sim.Message) bool {
+			switch phase {
+			case phSpan:
+				for _, m := range inbox {
+					nbrCovered[m.From] = bool(m.Data.(sim.Bit))
 				}
-			}
-			if done {
-				return
-			}
-			// Step 1: span and its power-of-two rounding.
-			span := 0
-			if !covered {
-				span++
-			}
-			for _, c := range nbrCovered {
-				if !c {
+				// Step 1: span and its power-of-two rounding.
+				span := 0
+				if !covered {
 					span++
 				}
-			}
-			dhat := ceilPow2(span)
-			// Step 2: two max-flood rounds identify distance-2 maxima.
-			nd.Broadcast(sim.Uint(uint64(dhat)))
-			max1 := dhat
-			for _, m := range nd.Exchange() {
-				if v := int(m.Data.(sim.Uint)); v > max1 {
-					max1 = v
-				}
-			}
-			nd.Broadcast(sim.Uint(uint64(max1)))
-			max2 := max1
-			for _, m := range nd.Exchange() {
-				if v := int(m.Data.(sim.Uint)); v > max2 {
-					max2 = v
-				}
-			}
-			candidate := span > 0 && dhat >= max2
-			// Step 3a: candidates announce themselves.
-			if candidate {
-				nd.Broadcast(sim.Flag{})
-			}
-			candMsgs := nd.Exchange()
-			support := 0 // c(v): candidates in N[v], counted by uncovered v
-			if !covered {
-				support = len(candMsgs)
-				if candidate {
-					support++
-				}
-			}
-			// Step 3b: uncovered nodes announce their support.
-			nd.Broadcast(sim.Uint(uint64(support)))
-			supMsgs := nd.Exchange()
-			if candidate {
-				// med(v): median support among uncovered members of N[v].
-				var sup []int
-				if !covered && support > 0 {
-					sup = append(sup, support)
-				}
-				for _, m := range supMsgs {
-					if s := int(m.Data.(sim.Uint)); s > 0 {
-						sup = append(sup, s)
+				for _, c := range nbrCovered {
+					if !c {
+						span++
 					}
 				}
-				med := 1.0
-				if len(sup) > 0 {
-					sort.Ints(sup)
-					med = float64(sup[len(sup)/2])
+				// Halt once the entire closed neighborhood is covered: this
+				// node can no longer be a useful candidate and no neighbor
+				// needs its support value.
+				if span == 0 {
+					return false
 				}
-				if nd.Rand().Float64() < 1/med {
-					member = true
-					inDS[nd.ID()] = true
+				dhat = ceilPow2(span)
+				// Step 2: two max-flood rounds identify distance-2 maxima.
+				nd.Broadcast(sim.Uint(uint64(dhat)))
+				phase = phMax1
+			case phMax1:
+				max1 = dhat
+				for _, m := range inbox {
+					if v := int(m.Data.(sim.Uint)); v > max1 {
+						max1 = v
+					}
 				}
+				nd.Broadcast(sim.Uint(uint64(max1)))
+				phase = phMax2
+			case phMax2:
+				max2 := max1
+				for _, m := range inbox {
+					if v := int(m.Data.(sim.Uint)); v > max2 {
+						max2 = v
+					}
+				}
+				candidate = dhat >= max2
+				// Step 3a: candidates announce themselves.
+				if candidate {
+					nd.Broadcast(sim.Flag{})
+				}
+				phase = phCands
+			case phCands:
+				support = 0 // c(v): candidates in N[v], counted by uncovered v
+				if !covered {
+					support = len(inbox)
+					if candidate {
+						support++
+					}
+				}
+				// Step 3b: uncovered nodes announce their support.
+				nd.Broadcast(sim.Uint(uint64(support)))
+				phase = phSupport
+			case phSupport:
+				if candidate {
+					// med(v): median support among uncovered members of N[v].
+					var sup []int
+					if !covered && support > 0 {
+						sup = append(sup, support)
+					}
+					for _, m := range inbox {
+						if s := int(m.Data.(sim.Uint)); s > 0 {
+							sup = append(sup, s)
+						}
+					}
+					med := 1.0
+					if len(sup) > 0 {
+						sort.Ints(sup)
+						med = float64(sup[len(sup)/2])
+					}
+					if nd.Rand().Float64() < 1/med {
+						member = true
+						inDS[nd.ID()] = true
+					}
+				}
+				// Step 4: selected nodes announce; coverage updates.
+				if member {
+					nd.Broadcast(sim.Flag{})
+				}
+				phase = phSelect
+			case phSelect:
+				if member || len(inbox) > 0 {
+					covered = true
+				}
+				// Everyone shares fresh coverage bits so spans stay
+				// consistent.
+				nd.Broadcast(sim.Bit(covered))
+				phase = phSpan
 			}
-			// Step 4: selected nodes announce; coverage updates; everyone
-			// shares fresh coverage bits so spans stay consistent.
-			if member {
-				nd.Broadcast(sim.Flag{})
-			}
-			selMsgs := nd.Exchange()
-			if member || len(selMsgs) > 0 {
-				covered = true
-			}
-			nd.Broadcast(sim.Bit(covered))
-			for _, m := range nd.Exchange() {
-				nbrCovered[m.From] = bool(m.Data.(sim.Bit))
-			}
+			return true
 		}
 	})
 	if err != nil {

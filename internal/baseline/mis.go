@@ -21,49 +21,60 @@ func LubyMIS(g *graph.Graph, seed int64, opts ...sim.Option) (*Result, error) {
 	inMIS := make([]bool, n)
 	opts = append(opts, sim.WithSeed(seed))
 	engine := sim.New(g, opts...)
-	st, err := engine.Run(func(nd *sim.Node) {
+	st, err := engine.RunMachine(func(nd *sim.Node) sim.StepFunc {
+		const (
+			phExits   = iota // inbox: exit announcements (empty at round 0)
+			phValues         // inbox: neighbor lottery values
+			phWinners        // inbox: winner announcements
+		)
+		phase := phExits
 		undecided := map[int]bool{}
 		for _, u := range nd.Neighbors() {
 			undecided[int(u)] = true
 		}
-		for {
-			// Exchange 1: lottery values (only live, undecided nodes run).
-			r := nd.Rand().Uint64() >> 1 // keep tie handling simple
-			nd.Broadcast(sim.Uint(r))
-			win := true
-			for _, m := range nd.Exchange() {
-				if !undecided[m.From] {
-					continue
+		var r uint64
+		win, exit := false, false
+		return func(nd *sim.Node, inbox []sim.Message) bool {
+			switch phase {
+			case phExits:
+				if exit {
+					inMIS[nd.ID()] = win
+					return false
 				}
-				rv := uint64(m.Data.(sim.Uint))
-				if rv < r || (rv == r && m.From < nd.ID()) {
-					win = false
+				for _, m := range inbox {
+					delete(undecided, m.From)
 				}
+				// Round 1: lottery values (only live, undecided nodes run).
+				r = nd.Rand().Uint64() >> 1 // keep tie handling simple
+				nd.Broadcast(sim.Uint(r))
+				phase = phValues
+			case phValues:
+				win = true
+				for _, m := range inbox {
+					if !undecided[m.From] {
+						continue
+					}
+					rv := uint64(m.Data.(sim.Uint))
+					if rv < r || (rv == r && m.From < nd.ID()) {
+						win = false
+					}
+				}
+				// Round 2: winners announce.
+				if win {
+					nd.Broadcast(sim.Flag{})
+				}
+				phase = phWinners
+			case phWinners:
+				// Round 3: every retiring node (winner, or covered by a
+				// neighbor that joined the MIS) announces its exit, so
+				// survivors stop considering it.
+				exit = win || len(inbox) > 0
+				if exit {
+					nd.Broadcast(sim.Flag{})
+				}
+				phase = phExits
 			}
-			// Exchange 2: winners announce.
-			if win {
-				nd.Broadcast(sim.Flag{})
-			}
-			covered := false
-			for range nd.Exchange() {
-				covered = true // a neighbor joined the MIS
-			}
-			// Exchange 3: every retiring node (winner or newly covered)
-			// announces its exit, so survivors stop considering it.
-			exit := win || covered
-			if exit {
-				nd.Broadcast(sim.Flag{})
-			}
-			exitMsgs := nd.Exchange()
-			if win {
-				inMIS[nd.ID()] = true
-			}
-			if exit {
-				return
-			}
-			for _, m := range exitMsgs {
-				delete(undecided, m.From)
-			}
+			return true
 		}
 	})
 	if err != nil {

@@ -10,6 +10,7 @@ package graph
 
 import (
 	"fmt"
+	"math"
 	"sort"
 )
 
@@ -21,11 +22,15 @@ type Graph struct {
 }
 
 // New builds a graph with n vertices from an edge list. Edges may appear in
-// either orientation; duplicates are merged. Self-loops and out-of-range
-// endpoints are rejected with an error.
+// either orientation; duplicates are merged. Self-loops, out-of-range
+// endpoints and a vertex count beyond the int32 ids of the CSR are rejected
+// with an error.
 func New(n int, edges [][2]int) (*Graph, error) {
 	if n < 0 {
 		return nil, fmt.Errorf("graph: negative vertex count %d", n)
+	}
+	if n > math.MaxInt32 {
+		return nil, fmt.Errorf("graph: vertex count %d exceeds the int32 id space", n)
 	}
 	deg := make([]int32, n)
 	for i, e := range edges {

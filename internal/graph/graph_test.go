@@ -1,6 +1,7 @@
 package graph
 
 import (
+	"math"
 	"math/rand/v2"
 	"testing"
 	"testing/quick"
@@ -36,6 +37,8 @@ func TestNewValidation(t *testing.T) {
 		{"self loop", 3, [][2]int{{1, 1}}},
 		{"out of range high", 3, [][2]int{{0, 3}}},
 		{"out of range negative", 3, [][2]int{{-1, 0}}},
+		// The CSR stores ids as int32: refused before any allocation.
+		{"n beyond int32 ids", math.MaxInt32 + 1, nil},
 	}
 	for _, tc := range tests {
 		t.Run(tc.name, func(t *testing.T) {

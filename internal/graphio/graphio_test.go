@@ -2,6 +2,8 @@ package graphio
 
 import (
 	"bytes"
+	"slices"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -96,6 +98,46 @@ func TestReadEdgeListErrors(t *testing.T) {
 			}
 		})
 	}
+}
+
+// fuzzMaxEdgeListInt bounds the integers FuzzReadEdgeList feeds the
+// reader: a header or vertex id of 2^20 or more would make graph.New
+// allocate per-vertex arrays of that size. It bounds the harness's memory;
+// it is not a rule of the format.
+const fuzzMaxEdgeListInt = 1 << 20
+
+func FuzzReadEdgeList(f *testing.F) {
+	for _, in := range []string{
+		"", "n 0\n", "n 3\n", "0 1\n1 2\n", "n 5\n# comment\n\n0 4\n 2 3 \r\n",
+		"3 1\n1 3\n", "n 2\n0 5\n", "1 1\n", "n x\n", "n 2\nn 2\n", "0 1\nn 4\n",
+		"-1 2\n", "1 2 3\n", "+1 0002\n",
+	} {
+		f.Add([]byte(in))
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		for _, tok := range bytes.Fields(data) {
+			if v, err := strconv.Atoi(string(tok)); err == nil && v >= fuzzMaxEdgeListInt {
+				t.Skip("integer token beyond the harness's memory bound")
+			}
+		}
+		g, err := ReadEdgeList(bytes.NewReader(data))
+		if err != nil {
+			return
+		}
+		var buf bytes.Buffer
+		if err := WriteEdgeList(&buf, g); err != nil {
+			t.Fatal(err)
+		}
+		again, err := ReadEdgeList(&buf)
+		if err != nil {
+			t.Fatalf("written edge list rejected: %v\n%s", err, buf.Bytes())
+		}
+		off, adj := g.CSR()
+		off2, adj2 := again.CSR()
+		if again.N() != g.N() || !slices.Equal(off, off2) || !slices.Equal(adj, adj2) {
+			t.Fatalf("round trip changed the graph: n %d -> %d", g.N(), again.N())
+		}
+	})
 }
 
 func TestJSONRoundtrip(t *testing.T) {

@@ -320,16 +320,14 @@ func MergeInto(path string, results []ScenarioResult) (*Report, error) {
 	if err := ValidateReport(rep); err != nil {
 		return nil, err
 	}
-	if err := WriteJSONFile(path, rep); err != nil {
+	if err := writeJSONFile(path, rep); err != nil {
 		return nil, err
 	}
 	return rep, nil
 }
 
-// WriteJSONFile writes v to path as indented JSON — the one writer behind
-// every benchmark artifact, so close/encode error handling lives in one
-// place.
-func WriteJSONFile(path string, v any) error {
+// writeJSONFile writes v to path as indented JSON.
+func writeJSONFile(path string, v any) error {
 	f, err := os.Create(path)
 	if err != nil {
 		return err
@@ -506,63 +504,4 @@ func ValidateReportFile(path string) error {
 		return fmt.Errorf("%s: %w", path, err)
 	}
 	return nil
-}
-
-// LegacyServeRun mirrors one row of the pre-kwbench BENCH_serve.json shape
-// ("mode" + the serve load-generator report fields), so serve-driver
-// scenario results can also be exported where existing tooling reads them.
-type LegacyServeRun struct {
-	Mode         string  `json:"mode"`
-	Workload     string  `json:"workload"`
-	N            int     `json:"n"`
-	M            int     `json:"m"`
-	Concurrency  int     `json:"concurrency"`
-	Requests     int     `json:"requests"`
-	Seeds        int     `json:"seeds"`
-	ElapsedSec   float64 `json:"elapsed_sec"`
-	ReqPerSec    float64 `json:"req_per_sec"`
-	ColdMS       float64 `json:"cold_ms"`
-	P50MS        float64 `json:"p50_ms"`
-	P99MS        float64 `json:"p99_ms"`
-	HitRate      float64 `json:"hit_rate"`
-	AllocsPerReq float64 `json:"allocs_per_req"`
-}
-
-// LegacyServeRuns converts http-serve closed-loop scenario results into the
-// legacy BENCH_serve.json row shape (one row per scenario, first graph's
-// identity). Non-serve and open-loop scenarios are skipped: the legacy
-// shape cannot express them.
-func LegacyServeRuns(results []ScenarioResult) []LegacyServeRun {
-	var runs []LegacyServeRun
-	for _, s := range results {
-		if s.Driver != DriverHTTPServe || s.Loop != "closed" || len(s.Graphs) == 0 {
-			continue
-		}
-		mode := "uncached"
-		hit := 0.0
-		if s.HitRate != nil {
-			hit = *s.HitRate
-			if hit > 0.5 {
-				mode = "cached"
-			}
-		}
-		runs = append(runs, LegacyServeRun{
-			Mode: mode, Workload: s.Graphs[0].Name,
-			N: s.Graphs[0].N, M: s.Graphs[0].M,
-			Concurrency: s.Concurrency, Requests: s.Ops, Seeds: s.Seeds,
-			ElapsedSec: s.ElapsedSec, ReqPerSec: s.OpsPerSec,
-			ColdMS: s.ColdMS, P50MS: s.Latency.P50, P99MS: s.Latency.P99,
-			HitRate: hit, AllocsPerReq: s.AllocsPerOp,
-		})
-	}
-	return runs
-}
-
-// WriteLegacyServe writes runs in the BENCH_serve.json document shape.
-func WriteLegacyServe(path string, runs []LegacyServeRun) error {
-	return WriteJSONFile(path, map[string]any{
-		"description": "Legacy-shaped serve rows exported by kwmds bench (see BENCH_kwbench.json for the full results).",
-		"environment": CurrentEnvironment(),
-		"runs":        runs,
-	})
 }

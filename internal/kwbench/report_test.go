@@ -1,7 +1,6 @@
 package kwbench
 
 import (
-	"encoding/json"
 	"os"
 	"path/filepath"
 	"strings"
@@ -108,48 +107,5 @@ func TestValidateReportFileRejectsGarbage(t *testing.T) {
 	}
 	if err := ValidateReportFile(path); err == nil {
 		t.Fatal("non-JSON document validated")
-	}
-}
-
-func TestLegacyServeRuns(t *testing.T) {
-	serve := sampleResult("serve")
-	serve.Driver = DriverHTTPServe
-	hit := 0.97
-	serve.HitRate = &hit
-	inproc := sampleResult("inproc")
-	open := sampleResult("open-serve")
-	open.Driver = DriverHTTPServe
-	open.Loop = "open"
-
-	runs := LegacyServeRuns([]ScenarioResult{serve, inproc, open})
-	if len(runs) != 1 {
-		t.Fatalf("legacy rows = %d, want 1 (only closed http-serve qualifies)", len(runs))
-	}
-	r := runs[0]
-	if r.Mode != "cached" || r.Workload != "g" || r.ReqPerSec != 20 || r.Concurrency != 2 {
-		t.Errorf("legacy row mismatch: %+v", r)
-	}
-
-	path := filepath.Join(t.TempDir(), "BENCH_serve.json")
-	if err := WriteLegacyServe(path, runs); err != nil {
-		t.Fatal(err)
-	}
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var doc struct {
-		Runs []map[string]any `json:"runs"`
-	}
-	if err := json.Unmarshal(data, &doc); err != nil {
-		t.Fatal(err)
-	}
-	if len(doc.Runs) != 1 {
-		t.Fatalf("written legacy doc has %d runs", len(doc.Runs))
-	}
-	for _, field := range []string{"mode", "workload", "req_per_sec", "p50_ms", "p99_ms", "hit_rate", "allocs_per_req"} {
-		if _, ok := doc.Runs[0][field]; !ok {
-			t.Errorf("legacy row missing field %q", field)
-		}
 	}
 }

@@ -4,9 +4,8 @@
 // configuration matrix, a driver and a load shape; the runner executes the
 // scenario through warmup and measure phases and exports latency
 // percentiles, throughput and allocation counts into the unified
-// BENCH_kwbench.json. It replaces the bespoke servebench/solvebench mains
-// with one harness whose knobs compose: every driver accepts every loop
-// mode, graph selection and matrix.
+// BENCH_kwbench.json. It is one harness whose knobs compose: every driver
+// accepts every loop mode, graph selection and matrix.
 //
 // See docs/BENCHMARKS.md for the methodology and the scenario file format.
 package kwbench
@@ -344,11 +343,11 @@ type HTTPSpec struct {
 
 // Tiers are the named canonical graph tiers scenario specs may reference:
 // one identity per (family, size) so scenarios across trajectories measure
-// the same instance. Where a legacy benchmark workload of the same name
-// exists (internal/bench workloads, servebench instances), the parameters
-// reproduce it exactly — the gnp-40k/gnp-200k radii are the shortest
-// decimal representations of the legacy 8/(n−1) probabilities, which
-// strconv.ParseFloat round-trips to the identical float64.
+// the same instance. Where an internal/bench experiment workload of the
+// same name exists, the parameters reproduce it exactly — the
+// gnp-40k/gnp-200k radii are the shortest decimal representations of its
+// 8/(n−1) probabilities, which strconv.ParseFloat round-trips to the
+// identical float64.
 var Tiers = map[string]string{
 	"udg-500":  "udg:500:0.08:1",
 	"udg-1k":   "udg:1000:0.05:1",

@@ -1,6 +1,8 @@
 package kwbench
 
 import (
+	"os"
+	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
@@ -114,4 +116,26 @@ func TestParseTOMLCommentsRespectStrings(t *testing.T) {
 	if got["k"] != "a # not a comment" {
 		t.Fatalf("got %q", got["k"])
 	}
+}
+
+// FuzzParseTOML: no input panics the scenario-file parser, and every
+// rejection names the offending line.
+func FuzzParseTOML(f *testing.F) {
+	paths, err := filepath.Glob(filepath.Join("..", "..", "scenarios", "*.toml"))
+	if err != nil || len(paths) == 0 {
+		f.Fatalf("no scenario seeds: %v", err)
+	}
+	for _, p := range paths {
+		data, err := os.ReadFile(p)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(data)
+	}
+	f.Add([]byte("a = [1, [2, {b = \"c\"}]]\n[[x.y]]\nz = 'lit'\n"))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if _, err := parseTOML(data); err != nil && !strings.HasPrefix(err.Error(), "toml line ") {
+			t.Fatalf("error without a line number: %v", err)
+		}
+	})
 }

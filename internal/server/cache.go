@@ -68,6 +68,12 @@ func newResultCache(capacity int) *resultCache {
 // solve stops burning the worker pool. Canceled computations return errors
 // and are never cached.
 func (c *resultCache) getOrCompute(ctx context.Context, key string, compute func(cancel <-chan struct{}) (*graphio.SolveResponse, error)) (val *graphio.SolveResponse, hit bool, err error) {
+	// A caller that is already gone starts nothing: a solve launched for it
+	// could outrun the walkout signal (the batched path ignores cancel) and
+	// land in the cache.
+	if err := ctx.Err(); err != nil {
+		return nil, false, err
+	}
 	c.mu.Lock()
 	if el, ok := c.items[key]; ok {
 		c.order.MoveToFront(el)

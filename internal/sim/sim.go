@@ -12,12 +12,6 @@
 // communication round of the paper's model; there is no per-node goroutine
 // and no global barrier on the hot path.
 //
-// The legacy closure API (Program / Node.Exchange) is kept as a thin
-// compatibility shim: each closure-driven node runs in its own goroutine
-// that is parked on a private channel between rounds and resumed by
-// whichever worker sweeps it. Algorithms that care about throughput should
-// implement a Machine directly.
-//
 // # Memory model
 //
 // Message delivery uses preallocated CSR-shaped buffers indexed off the
@@ -26,11 +20,11 @@
 // contending with anyone and a receiver reads its slots in adjacency order
 // — inboxes come out sorted by sender id by construction, with no sorting
 // and no per-round allocation. Slot arrays are double-buffered (cur/next)
-// and reused across rounds, which means an inbox slice handed to a step (or
-// returned by Exchange) is only valid until the node's next step; programs
-// that need a message beyond the round must copy it. Statistics counters
-// are sharded per node (sender-owned) and per worker, and merged when the
-// run completes; nothing on the steady-state path takes a lock.
+// and reused across rounds, which means an inbox slice handed to a step is
+// only valid until the node's next step; programs that need a message
+// beyond the round must copy it. Statistics counters are sharded per node
+// (sender-owned) and per worker, and merged when the run completes; nothing
+// on the steady-state path takes a lock.
 //
 // The engine accounts for rounds, messages (one per (sender, receiver)
 // pair, as the paper counts them) and message size in bits (each Payload
@@ -69,13 +63,6 @@ type Message struct {
 	Data Payload
 }
 
-// Program is the closure form of a node's code: it communicates only
-// through its *Node handle (Node.Exchange marks the round boundaries) and
-// returns when the node halts. Programs run via a goroutine-per-node
-// compatibility shim; performance-sensitive algorithms should implement a
-// Machine instead.
-type Program func(nd *Node)
-
 // StepFunc advances one node by one synchronous round. The inbox holds the
 // messages delivered to the node this round, sorted by sender id; it is
 // only valid for the duration of the call. Local computation and
@@ -88,23 +75,13 @@ type StepFunc func(nd *Node, inbox []Message) bool
 // step of every node receives an empty inbox.
 type Machine func(nd *Node) StepFunc
 
-// errAborted unwinds closure-driven node goroutines when the engine aborts
-// (round limit or a panic elsewhere).
-var errAborted = errors.New("sim: aborted")
-
-// Node is a program's handle to its vertex: identity, neighborhood, staged
-// outgoing messages, and (for closure programs) the round barrier.
+// Node is a step function's handle to its vertex: identity, neighborhood
+// and staged outgoing messages.
 type Node struct {
 	id     int
 	engine *Engine
 	w      *worker // executor of the node's current step; set every sweep
 	rng    *rand.Rand
-
-	// Closure-shim coroutine state; nil/false for machine-driven nodes.
-	resume chan []Message // engine → program: inbox for the next round
-	yield  chan bool      // program → engine: true at Exchange, false on return
-	parked bool           // goroutine is blocked in Exchange
-	pval   any            // panic recovered from the program goroutine
 }
 
 // ID returns the node's vertex id. The paper's model allows unique ids; the
@@ -119,7 +96,7 @@ func (nd *Node) Degree() int { return nd.engine.g.Degree(nd.id) }
 func (nd *Node) Neighbors() []int32 { return nd.engine.g.Neighbors(nd.id) }
 
 // Round returns the number of completed communication rounds. It is a
-// single atomic load — safe to call from any step or program at any time.
+// single atomic load — safe to call from any step at any time.
 func (nd *Node) Round() int { return int(nd.engine.round.Load()) }
 
 // Rand returns this node's deterministic random stream, derived from the
@@ -185,20 +162,6 @@ func (nd *Node) stage(pos int, p Payload) {
 	e.stampNext[slot] = r
 }
 
-// Exchange completes one synchronous round of a closure Program: staged
-// messages are delivered and the messages the neighbors sent this round are
-// returned, sorted by sender id. The returned slice is reused by the engine
-// and is only valid until the node's next Exchange. Exchange must only be
-// called from inside a Program passed to Run.
-func (nd *Node) Exchange() []Message {
-	nd.yield <- true
-	inbox := <-nd.resume
-	if nd.engine.aborted {
-		panic(errAborted)
-	}
-	return inbox
-}
-
 // spillMsg is an overflow delivery: a second message staged on the same
 // directed edge within one round.
 type spillMsg struct {
@@ -262,8 +225,7 @@ type Engine struct {
 	// built in msgbuf[off[v]:off[v+1]] each sweep and reused next round.
 	msgbuf []Message
 
-	round   atomic.Int64
-	aborted bool
+	round atomic.Int64
 
 	nodes []Node
 	steps []StepFunc
@@ -308,40 +270,6 @@ func New(g *graph.Graph, opts ...Option) *Engine {
 		o(e)
 	}
 	return e
-}
-
-// Run executes one copy of program per vertex through the closure
-// compatibility shim and blocks until every copy returns. It reports the
-// run's statistics and the first program panic (or the round-limit abort)
-// as an error. Run may be called once per Engine.
-func (e *Engine) Run(program Program) (*Stats, error) {
-	return e.RunMachine(func(nd *Node) StepFunc {
-		nd.resume = make(chan []Message)
-		nd.yield = make(chan bool)
-		started := false
-		return func(nd *Node, inbox []Message) bool {
-			if !started {
-				started = true
-				go func() {
-					defer func() {
-						if r := recover(); r != nil && r != errAborted { //nolint:errorlint // sentinel identity is intended
-							nd.pval = r
-						}
-						nd.yield <- false
-					}()
-					program(nd)
-				}()
-			} else {
-				nd.resume <- inbox
-			}
-			more := <-nd.yield
-			nd.parked = more
-			if !more && nd.pval != nil {
-				panic(nd.pval)
-			}
-			return more
-		}
-	})
 }
 
 // RunMachine executes one step machine per vertex, sweeping all live nodes
@@ -482,7 +410,6 @@ func (e *Engine) runLoop(nw int) {
 		}
 		if panicID >= 0 {
 			e.runErr = fmt.Errorf("sim: node %d panicked: %v", panicID, pval)
-			e.abort()
 			return
 		}
 
@@ -502,7 +429,6 @@ func (e *Engine) runLoop(nw int) {
 		r := e.round.Add(1)
 		if int(r) > e.maxRounds {
 			e.runErr = fmt.Errorf("sim: exceeded %d rounds", e.maxRounds)
-			e.abort()
 			return
 		}
 		if e.stats.perRoundOn {
@@ -600,20 +526,4 @@ func (e *Engine) collectSpills() {
 		})
 	}
 	e.spillCur = out
-}
-
-// abort ends the run early: closure-program goroutines parked at Exchange
-// are resumed into the errAborted panic so none of them leak. Step-machine
-// nodes hold no resources and need no unwinding.
-func (e *Engine) abort() {
-	e.aborted = true
-	for v := range e.nodes {
-		nd := &e.nodes[v]
-		if !nd.parked {
-			continue
-		}
-		nd.parked = false
-		nd.resume <- nil
-		<-nd.yield
-	}
 }

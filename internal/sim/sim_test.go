@@ -15,15 +15,31 @@ func path4(t *testing.T) *graph.Graph {
 	return graph.MustNew(4, [][2]int{{0, 1}, {1, 2}, {2, 3}})
 }
 
+// lockstep builds a machine that calls body at steps r = 0..rounds and
+// halts after step rounds, so a run takes exactly rounds rounds. At step r
+// the inbox holds what the neighbors staged at step r-1 (nothing at r = 0).
+func lockstep(rounds int, body func(nd *Node, r int, inbox []Message)) Machine {
+	return func(*Node) StepFunc {
+		r := 0
+		return func(nd *Node, inbox []Message) bool {
+			body(nd, r, inbox)
+			r++
+			return r <= rounds
+		}
+	}
+}
+
 func TestBroadcastDelivery(t *testing.T) {
 	g := path4(t)
 	received := make([][]int, g.N())
-	_, err := New(g).Run(func(nd *Node) {
-		nd.Broadcast(Uint(nd.ID()))
-		for _, m := range nd.Exchange() {
+	_, err := New(g).RunMachine(lockstep(1, func(nd *Node, r int, inbox []Message) {
+		if r == 0 {
+			nd.Broadcast(Uint(nd.ID()))
+		}
+		for _, m := range inbox {
 			received[nd.ID()] = append(received[nd.ID()], m.From)
 		}
-	})
+	}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -43,14 +59,14 @@ func TestBroadcastDelivery(t *testing.T) {
 func TestSendTargeted(t *testing.T) {
 	g := path4(t)
 	var got [4]int64
-	_, err := New(g).Run(func(nd *Node) {
-		if nd.ID() == 1 {
+	_, err := New(g).RunMachine(lockstep(1, func(nd *Node, r int, inbox []Message) {
+		if r == 0 && nd.ID() == 1 {
 			nd.Send(2, Uint(99))
 		}
-		for _, m := range nd.Exchange() {
+		for _, m := range inbox {
 			atomic.AddInt64(&got[nd.ID()], int64(m.Data.(Uint)))
 		}
-	})
+	}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,12 +77,11 @@ func TestSendTargeted(t *testing.T) {
 
 func TestSendToNonNeighborPanicsIntoError(t *testing.T) {
 	g := path4(t)
-	_, err := New(g).Run(func(nd *Node) {
-		if nd.ID() == 0 {
+	_, err := New(g).RunMachine(lockstep(1, func(nd *Node, r int, _ []Message) {
+		if r == 0 && nd.ID() == 0 {
 			nd.Send(3, Flag{}) // 0 and 3 are not adjacent
 		}
-		nd.Exchange()
-	})
+	}))
 	if err == nil || !strings.Contains(err.Error(), "non-neighbor") {
 		t.Fatalf("err = %v, want non-neighbor panic surfaced", err)
 	}
@@ -75,12 +90,11 @@ func TestSendToNonNeighborPanicsIntoError(t *testing.T) {
 func TestRoundCounting(t *testing.T) {
 	g := path4(t)
 	const rounds = 7
-	st, err := New(g).Run(func(nd *Node) {
-		for r := 0; r < rounds; r++ {
+	st, err := New(g).RunMachine(lockstep(rounds, func(nd *Node, r int, _ []Message) {
+		if r < rounds {
 			nd.Broadcast(Flag{})
-			nd.Exchange()
 		}
-	})
+	}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,15 +115,17 @@ func TestRoundCounting(t *testing.T) {
 }
 
 func TestMessagesSentInSameRoundAreReceivedThatRound(t *testing.T) {
-	// Synchronous semantics: what a neighbor sends before its r-th Exchange
-	// arrives at my r-th Exchange.
+	// Synchronous semantics: what a neighbor stages in step r arrives in my
+	// inbox at step r+1.
 	g := graph.MustNew(2, [][2]int{{0, 1}})
 	ok := make([]bool, 2)
-	_, err := New(g).Run(func(nd *Node) {
-		nd.Broadcast(Uint(10 + nd.ID()))
-		msgs := nd.Exchange()
-		ok[nd.ID()] = len(msgs) == 1 && msgs[0].Data.(Uint) == Uint(10+1-nd.ID())
-	})
+	_, err := New(g).RunMachine(lockstep(1, func(nd *Node, r int, inbox []Message) {
+		if r == 0 {
+			nd.Broadcast(Uint(10 + nd.ID()))
+			return
+		}
+		ok[nd.ID()] = len(inbox) == 1 && inbox[0].Data.(Uint) == Uint(10+1-nd.ID())
+	}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -119,19 +135,22 @@ func TestMessagesSentInSameRoundAreReceivedThatRound(t *testing.T) {
 }
 
 func TestEarlyExitNodesStillDeliverFinalMessages(t *testing.T) {
-	// Node 0 announces and halts without a final Exchange; node 1 must still
-	// receive the announcement, and the barrier must not deadlock.
+	// Node 0 announces and halts in the same step; node 1 must still
+	// receive the announcement one round later.
 	g := graph.MustNew(2, [][2]int{{0, 1}})
 	var got int64
-	_, err := New(g).Run(func(nd *Node) {
+	_, err := New(g).RunMachine(func(nd *Node) StepFunc {
 		if nd.ID() == 0 {
-			nd.Broadcast(Uint(7))
-			return // halt immediately
+			return func(nd *Node, _ []Message) bool {
+				nd.Broadcast(Uint(7))
+				return false // halt immediately
+			}
 		}
-		msgs := nd.Exchange()
-		for _, m := range msgs {
-			atomic.AddInt64(&got, int64(m.Data.(Uint)))
-		}
+		return lockstep(1, func(nd *Node, _ int, inbox []Message) {
+			for _, m := range inbox {
+				atomic.AddInt64(&got, int64(m.Data.(Uint)))
+			}
+		})(nd)
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -148,11 +167,13 @@ func TestStaggeredTermination(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	st, err := New(g).Run(func(nd *Node) {
-		for r := 0; r <= nd.ID(); r++ {
-			nd.Broadcast(Flag{})
-			nd.Exchange()
-		}
+	st, err := New(g).RunMachine(func(nd *Node) StepFunc {
+		rounds := nd.ID() + 1
+		return lockstep(rounds, func(nd *Node, r int, _ []Message) {
+			if r < rounds {
+				nd.Broadcast(Flag{})
+			}
+		})(nd)
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -166,10 +187,11 @@ func TestDeterministicRand(t *testing.T) {
 	g := path4(t)
 	run := func() []uint64 {
 		out := make([]uint64, g.N())
-		_, err := New(g, WithSeed(42)).Run(func(nd *Node) {
-			out[nd.ID()] = nd.Rand().Uint64()
-			nd.Exchange()
-		})
+		_, err := New(g, WithSeed(42)).RunMachine(lockstep(1, func(nd *Node, r int, _ []Message) {
+			if r == 0 {
+				out[nd.ID()] = nd.Rand().Uint64()
+			}
+		}))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -189,10 +211,8 @@ func TestDeterministicRand(t *testing.T) {
 
 func TestMaxRoundsAbort(t *testing.T) {
 	g := path4(t)
-	st, err := New(g, WithMaxRounds(10)).Run(func(nd *Node) {
-		for { // livelock
-			nd.Exchange()
-		}
+	st, err := New(g, WithMaxRounds(10)).RunMachine(func(*Node) StepFunc {
+		return func(*Node, []Message) bool { return true } // livelock
 	})
 	if err == nil || !strings.Contains(err.Error(), "exceeded") {
 		t.Fatalf("err = %v, want round-limit abort", err)
@@ -204,12 +224,11 @@ func TestMaxRoundsAbort(t *testing.T) {
 
 func TestProgramPanicSurfaces(t *testing.T) {
 	g := path4(t)
-	_, err := New(g).Run(func(nd *Node) {
+	_, err := New(g).RunMachine(lockstep(1, func(nd *Node, _ int, _ []Message) {
 		if nd.ID() == 2 {
 			panic("boom")
 		}
-		nd.Exchange()
-	})
+	}))
 	if err == nil || !strings.Contains(err.Error(), "boom") || !strings.Contains(err.Error(), "node 2") {
 		t.Fatalf("err = %v, want node 2 panic surfaced", err)
 	}
@@ -217,7 +236,7 @@ func TestProgramPanicSurfaces(t *testing.T) {
 
 func TestEmptyGraphRun(t *testing.T) {
 	g := graph.MustNew(0, nil)
-	st, err := New(g).Run(func(nd *Node) { nd.Exchange() })
+	st, err := New(g).RunMachine(lockstep(1, func(*Node, int, []Message) {}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -228,13 +247,14 @@ func TestEmptyGraphRun(t *testing.T) {
 
 func TestIsolatedVertices(t *testing.T) {
 	g := graph.MustNew(3, nil)
-	st, err := New(g).Run(func(nd *Node) {
-		nd.Broadcast(Flag{}) // no neighbors: no-op
-		msgs := nd.Exchange()
-		if len(msgs) != 0 {
-			t.Errorf("isolated node received %d messages", len(msgs))
+	st, err := New(g).RunMachine(lockstep(1, func(nd *Node, r int, inbox []Message) {
+		if r == 0 {
+			nd.Broadcast(Flag{}) // no neighbors: no-op
 		}
-	})
+		if len(inbox) != 0 {
+			t.Errorf("isolated node received %d messages", len(inbox))
+		}
+	}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -245,14 +265,14 @@ func TestIsolatedVertices(t *testing.T) {
 
 func TestPerRoundStats(t *testing.T) {
 	g := path4(t)
-	st, err := New(g, WithPerRoundStats()).Run(func(nd *Node) {
-		nd.Broadcast(Flag{})
-		nd.Exchange() // round 1: 6 deliveries
-		if nd.ID() == 0 {
-			nd.Send(1, Flag{})
+	st, err := New(g, WithPerRoundStats()).RunMachine(lockstep(2, func(nd *Node, r int, _ []Message) {
+		switch {
+		case r == 0:
+			nd.Broadcast(Flag{}) // round 1: 6 deliveries
+		case r == 1 && nd.ID() == 0:
+			nd.Send(1, Flag{}) // round 2: 1 delivery
 		}
-		nd.Exchange() // round 2: 1 delivery
-	})
+	}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -285,10 +305,11 @@ func TestPayloadBits(t *testing.T) {
 
 func TestBitAccountingUsesPayloadWidth(t *testing.T) {
 	g := graph.MustNew(2, [][2]int{{0, 1}})
-	st, err := New(g).Run(func(nd *Node) {
-		nd.Broadcast(Uint(255)) // 8 bits each
-		nd.Exchange()
-	})
+	st, err := New(g).RunMachine(lockstep(1, func(nd *Node, r int, _ []Message) {
+		if r == 0 {
+			nd.Broadcast(Uint(255)) // 8 bits each
+		}
+	}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -299,20 +320,17 @@ func TestBitAccountingUsesPayloadWidth(t *testing.T) {
 
 func TestDeterministicDeliveryAcrossRuns(t *testing.T) {
 	// A randomized gossip program must produce identical traffic counts on
-	// identical seeds even though goroutine interleaving varies.
+	// identical seeds even though the worker pool's interleaving varies.
 	g, err := gen.GNP(50, 0.1, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
 	run := func() int64 {
-		st, err := New(g, WithSeed(7)).Run(func(nd *Node) {
-			for r := 0; r < 5; r++ {
-				if nd.Rand().Float64() < 0.5 {
-					nd.Broadcast(Uint(uint64(nd.Rand().IntN(1000))))
-				}
-				nd.Exchange()
+		st, err := New(g, WithSeed(7)).RunMachine(lockstep(5, func(nd *Node, r int, _ []Message) {
+			if r < 5 && nd.Rand().Float64() < 0.5 {
+				nd.Broadcast(Uint(uint64(nd.Rand().IntN(1000))))
 			}
-		})
+		}))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -331,12 +349,11 @@ func TestManyNodesStress(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	st, err := New(g).Run(func(nd *Node) {
-		for r := 0; r < 10; r++ {
+	st, err := New(g).RunMachine(lockstep(10, func(nd *Node, r int, _ []Message) {
+		if r < 10 {
 			nd.Broadcast(Uint(uint64(r)))
-			nd.Exchange()
 		}
-	})
+	}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -347,8 +364,6 @@ func TestManyNodesStress(t *testing.T) {
 		t.Errorf("Messages = %d, want %d", st.Messages, 10*2*g.M())
 	}
 }
-
-// --- round-driven scheduler (step API) tests ---
 
 func TestRunMachineBroadcastDelivery(t *testing.T) {
 	g := path4(t)
@@ -386,9 +401,8 @@ func TestRunMachineBroadcastDelivery(t *testing.T) {
 }
 
 func TestRunMachineStaggeredHalt(t *testing.T) {
-	// Node v broadcasts for v+1 rounds, exactly like TestStaggeredTermination
-	// but through the step API. The scheduler must keep sweeping the
-	// shrinking live set.
+	// Node v broadcasts for v+1 rounds. The scheduler must keep sweeping
+	// the shrinking live set.
 	g, err := gen.Clique(5)
 	if err != nil {
 		t.Fatal(err)
@@ -414,7 +428,8 @@ func TestRunMachineStaggeredHalt(t *testing.T) {
 
 func TestRunMachineFinalStepMessagesCounted(t *testing.T) {
 	// Messages staged in a node's final step (return false) are still
-	// counted, matching the closure API's announce-and-halt pattern.
+	// delivered and counted: node 0 announces and halts, and node 1, one
+	// round later, must still receive the announcement.
 	g := graph.MustNew(2, [][2]int{{0, 1}})
 	var got int64
 	st, err := New(g).RunMachine(func(nd *Node) StepFunc {
@@ -472,30 +487,30 @@ func TestRunMachinePanicSurfacesLowestNode(t *testing.T) {
 func TestRunOnlyOnce(t *testing.T) {
 	g := path4(t)
 	e := New(g)
-	if _, err := e.Run(func(nd *Node) {}); err != nil {
+	noop := lockstep(0, func(*Node, int, []Message) {})
+	if _, err := e.RunMachine(noop); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := e.Run(func(nd *Node) {}); err == nil {
-		t.Fatal("second Run succeeded, want error")
+	if _, err := e.RunMachine(noop); err == nil {
+		t.Fatal("second RunMachine succeeded, want error")
 	}
 }
 
 func TestRoundObservableFromProgram(t *testing.T) {
 	g := path4(t)
 	rounds := make([][]int, g.N())
-	_, err := New(g).Run(func(nd *Node) {
-		for r := 0; r < 3; r++ {
+	_, err := New(g).RunMachine(lockstep(3, func(nd *Node, r int, _ []Message) {
+		if r < 3 {
 			rounds[nd.ID()] = append(rounds[nd.ID()], nd.Round())
-			nd.Exchange()
 		}
-	})
+	}))
 	if err != nil {
 		t.Fatal(err)
 	}
 	for v, seen := range rounds {
 		for r, got := range seen {
 			if got != r {
-				t.Fatalf("node %d observed Round() = %d before exchange %d, want %d", v, got, r+1, r)
+				t.Fatalf("node %d observed Round() = %d at step %d, want %d", v, got, r, r)
 			}
 		}
 	}
@@ -507,23 +522,21 @@ func TestMultiSendSameEdgeSameRound(t *testing.T) {
 	g := graph.MustNew(3, [][2]int{{0, 1}, {1, 2}})
 	var got []uint64
 	var from []int
-	_, err := New(g).Run(func(nd *Node) {
-		switch nd.ID() {
-		case 0:
+	_, err := New(g).RunMachine(lockstep(1, func(nd *Node, r int, inbox []Message) {
+		switch {
+		case r == 0 && nd.ID() == 0:
 			nd.Send(1, Uint(10))
 			nd.Send(1, Uint(11))
 			nd.Send(1, Uint(12))
-		case 2:
+		case r == 0 && nd.ID() == 2:
 			nd.Send(1, Uint(20))
-		}
-		msgs := nd.Exchange()
-		if nd.ID() == 1 {
-			for _, m := range msgs {
+		case r == 1 && nd.ID() == 1:
+			for _, m := range inbox {
 				got = append(got, uint64(m.Data.(Uint)))
 				from = append(from, m.From)
 			}
 		}
-	})
+	}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -548,18 +561,15 @@ func TestWorkerCountInvariance(t *testing.T) {
 	}
 	run := func(workers int) (int64, int64, []uint64) {
 		out := make([]uint64, g.N())
-		st, err := New(g, WithSeed(9), WithWorkers(workers)).Run(func(nd *Node) {
-			acc := uint64(0)
-			for r := 0; r < 4; r++ {
-				if nd.Rand().Float64() < 0.6 {
-					nd.Broadcast(Uint(uint64(nd.Rand().IntN(1 << 20))))
-				}
-				for _, m := range nd.Exchange() {
-					acc = acc*31 + uint64(m.Data.(Uint))
-				}
+		st, err := New(g, WithSeed(9), WithWorkers(workers)).RunMachine(lockstep(4, func(nd *Node, r int, inbox []Message) {
+			acc := &out[nd.ID()]
+			for _, m := range inbox {
+				*acc = *acc*31 + uint64(m.Data.(Uint))
 			}
-			out[nd.ID()] = acc
-		})
+			if r < 4 && nd.Rand().Float64() < 0.6 {
+				nd.Broadcast(Uint(uint64(nd.Rand().IntN(1 << 20))))
+			}
+		}))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -584,17 +594,16 @@ func TestInboxValidUntilNextExchangeOnly(t *testing.T) {
 	// must hand each node a fresh view every round with current payloads.
 	g := graph.MustNew(2, [][2]int{{0, 1}})
 	var seen []uint64
-	_, err := New(g).Run(func(nd *Node) {
-		for r := 0; r < 3; r++ {
-			nd.Broadcast(Uint(uint64(100*nd.ID() + r)))
-			msgs := nd.Exchange()
-			if nd.ID() == 0 {
-				for _, m := range msgs {
-					seen = append(seen, uint64(m.Data.(Uint)))
-				}
+	_, err := New(g).RunMachine(lockstep(3, func(nd *Node, r int, inbox []Message) {
+		if nd.ID() == 0 {
+			for _, m := range inbox {
+				seen = append(seen, uint64(m.Data.(Uint)))
 			}
 		}
-	})
+		if r < 3 {
+			nd.Broadcast(Uint(uint64(100*nd.ID() + r)))
+		}
+	}))
 	if err != nil {
 		t.Fatal(err)
 	}
