@@ -22,13 +22,27 @@
 // Frontier-driven: the references rescan all n vertices in each of the
 // O(k²) inner iterations. The solver instead tracks the white set and the
 // support set (vertices whose closed neighborhood still contains a white
-// vertex) in internal/bitset sets, maintains the dynamic degree δ̃
-// incrementally (a vertex's δ̃ is decremented once for each neighbor that
-// turns gray — O(n+m) total over the whole run), and re-evaluates the
-// covering condition only for vertices whose neighborhood x-values actually
+// vertex) in internal/bitset sets, keeps the dynamic degree δ̃ current
+// across each white→gray transition, and re-evaluates the covering
+// condition only for vertices whose neighborhood x-values actually
 // changed. Iterations after every vertex is covered are skipped outright —
 // the references prove (and the determinism tests confirm) they cannot
 // change x.
+//
+// A transition takes one of two paths, picked from the counts at hand and
+// equal bit for bit. When few vertices turn gray, δ̃ is decremented once
+// for each neighbor that turns gray; over the whole run the decrements
+// cost O(n+m). When the new gray vertices outnumber the white ones left
+// more than 4 to 1 — the first inner iteration on a unit-disk graph covers
+// 98% of it at once — δ̃ and the support are rebuilt from the remaining
+// white set instead, for O(n/64) word operations plus Σ(deg+1) over the
+// white vertices and over the new support, and one store per vertex that
+// leaves the support.
+//
+// Row kernels: each per-vertex sweep reduces a CSR row to a count, a
+// maximum, a sum or an any-test in a small leaf loop without data-dependent
+// branches (the maximum is computed with a sign mask, not a compare), so
+// mispredictions stay out of the neighbor loops.
 //
 // Phase-parallel: within an inner iteration every vertex's update depends
 // only on the previous phase's state, so each phase runs over chunked

@@ -184,9 +184,9 @@ func (s *Solver) lpAlg3(k int) {
 			s.resetChunkLists()
 			s.dispatch(s.fnA3Update)
 			s.recheckCoverage()
-			// The reference recomputes δ̃ here (its lines 20-21); the
-			// incremental decrements in applyNewGray leave dtil holding
-			// exactly those values.
+			// The reference recomputes δ̃ here (its lines 20-21);
+			// applyNewGray, by decrement or by rebuild, leaves dtil
+			// holding exactly those values.
 		}
 		if l > 0 && s.whiteCount > 0 {
 			// Lines 24-27: recompute γ⁽²⁾ from the new δ̃. Only vertices
@@ -257,11 +257,7 @@ func (s *Solver) phaseCovRecheck(c int) {
 		for wd != 0 {
 			v := wi<<6 + bits.TrailingZeros64(wd)
 			wd &= wd - 1
-			sum := x[v]
-			for _, u := range adj[off[v]:off[v+1]] {
-				sum += x[u]
-			}
-			if sum >= 1-core.CovTol {
+			if sumOver(adj[off[v]:off[v+1]], x, x[v]) >= 1-core.CovTol {
 				s.newGray[c] = append(s.newGray[c], int32(v))
 			}
 		}
@@ -279,11 +275,7 @@ func (s *Solver) phaseCovRecheckAll(c int) {
 		for wd != 0 {
 			v := wi<<6 + bits.TrailingZeros64(wd)
 			wd &= wd - 1
-			sum := x[v]
-			for _, u := range adj[off[v]:off[v+1]] {
-				sum += x[u]
-			}
-			if sum >= 1-core.CovTol {
+			if sumOver(adj[off[v]:off[v+1]], x, x[v]) >= 1-core.CovTol {
 				s.newGray[c] = append(s.newGray[c], int32(v))
 			}
 		}
@@ -322,16 +314,7 @@ func (s *Solver) phaseA3Count(c int) {
 			b := bits.TrailingZeros64(wd)
 			wd &= wd - 1
 			v := wi<<6 + b
-			c := int32(0)
-			if aw[wi]&(1<<b) != 0 {
-				c = 1
-			}
-			for _, u := range adj[off[v]:off[v+1]] {
-				if aw[u>>6]&(1<<(uint32(u)&63)) != 0 {
-					c++
-				}
-			}
-			acnt[v] = c
+			acnt[v] = int32(aw[wi]>>b&1) + countBits(adj[off[v]:off[v+1]], aw)
 		}
 	}
 }
@@ -347,12 +330,7 @@ func (s *Solver) phaseA3Update(c int) {
 		for wd != 0 {
 			v := wi<<6 + bits.TrailingZeros64(wd)
 			wd &= wd - 1
-			m1 := acnt[v]
-			for _, u := range adj[off[v]:off[v+1]] {
-				if acnt[u] > m1 {
-					m1 = acnt[u]
-				}
-			}
+			m1 := maxOver(adj[off[v]:off[v+1]], acnt, acnt[v])
 			if m1 < 1 {
 				continue
 			}
@@ -388,13 +366,7 @@ func (s *Solver) phaseGamma1(c int) {
 		for wd != 0 {
 			v := wi<<6 + bits.TrailingZeros64(wd)
 			wd &= wd - 1
-			m1 := dtil[v]
-			for _, u := range adj[off[v]:off[v+1]] {
-				if dtil[u] > m1 {
-					m1 = dtil[u]
-				}
-			}
-			gamma1[v] = m1
+			gamma1[v] = maxOver(adj[off[v]:off[v+1]], dtil, dtil[v])
 		}
 	}
 }
@@ -410,13 +382,7 @@ func (s *Solver) phaseGamma1All(c int) {
 		v1 = s.n
 	}
 	for v := v0; v < v1; v++ {
-		m1 := dtil[v]
-		for _, u := range adj[off[v]:off[v+1]] {
-			if dtil[u] > m1 {
-				m1 = dtil[u]
-			}
-		}
-		gamma1[v] = m1
+		gamma1[v] = maxOver(adj[off[v]:off[v+1]], dtil, dtil[v])
 	}
 }
 
@@ -430,13 +396,7 @@ func (s *Solver) phaseGamma2(c int) {
 		for wd != 0 {
 			v := wi<<6 + bits.TrailingZeros64(wd)
 			wd &= wd - 1
-			m2 := gamma1[v]
-			for _, u := range adj[off[v]:off[v+1]] {
-				if gamma1[u] > m2 {
-					m2 = gamma1[u]
-				}
-			}
-			gamma2[v] = m2
+			gamma2[v] = maxOver(adj[off[v]:off[v+1]], gamma1, gamma1[v])
 		}
 	}
 }
@@ -453,13 +413,7 @@ func (s *Solver) phaseD1(c int) {
 		v1 = s.n
 	}
 	for v := v0; v < v1; v++ {
-		m1 := off[v+1] - off[v]
-		for _, u := range adj[off[v]:off[v+1]] {
-			if d := off[u+1] - off[u]; d > m1 {
-				m1 = d
-			}
-		}
-		d1[v] = m1
+		d1[v] = maxDegOver(adj[off[v]:off[v+1]], off, off[v+1]-off[v])
 	}
 }
 
@@ -471,13 +425,7 @@ func (s *Solver) phaseD2(c int) {
 		v1 = s.n
 	}
 	for v := v0; v < v1; v++ {
-		m2 := d1[v]
-		for _, u := range adj[off[v]:off[v+1]] {
-			if d1[u] > m2 {
-				m2 = d1[u]
-			}
-		}
-		d2[v] = m2
+		d2[v] = maxOver(adj[off[v]:off[v+1]], d1, d1[v])
 	}
 }
 

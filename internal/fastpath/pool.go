@@ -43,8 +43,8 @@ func Acquire(n int) *Solver {
 // afterwards.
 //
 // A released solver drops its reference to the last request's cost vector
-// but deliberately keeps the last graph's CSR slices: they key the cached
-// δ⁽¹⁾/δ⁽²⁾ tables, which pay off exactly in the serving pattern (many
+// but deliberately keeps the last graph and its CSR slices: they key and
+// feed the cached δ⁽¹⁾/δ⁽²⁾ tables, which pay off exactly in the serving pattern (many
 // requests against one preloaded, long-lived topology). For one-off inline
 // graphs this pins the CSR until the next Acquire of that class or a GC
 // drain of the pool — bounded, and small next to the solver's own buffers.

@@ -67,21 +67,18 @@ func (s *Solver) LastResolveRepaired() bool { return s.lastRepaired }
 
 // canRepair decides, before prepare clobbers the previous-graph bookmarks,
 // whether the incremental δ⁽¹⁾/δ⁽²⁾ repair is sound and worthwhile: the
-// solver's cached tables must belong to d.Prev (slice-identity check, the
-// same key prepare uses for same-graph caching), the vertex count must not
+// solver's cached tables must belong to d.Prev (the same graph-pointer key
+// prepare uses for same-graph caching), the vertex count must not
 // have changed (growth reallocates the table buffers), and the estimated
 // repair cost must beat the dense recompute.
 func (s *Solver) canRepair(d *dyngraph.Delta) bool {
 	if !s.d2done || d.Grew || d.Prev == nil || d.Prev.N() != d.Next.N() || s.n != d.Next.N() {
 		return false
 	}
-	prevOff, prevAdj := d.Prev.CSR()
-	if len(s.off) != len(prevOff) || len(s.adj) != len(prevAdj) {
+	if s.keyG != d.Prev || s.keyRelab != nil {
 		return false
 	}
-	if len(prevOff) > 0 && &s.off[0] != &prevOff[0] {
-		return false
-	}
+	_, prevAdj := d.Prev.CSR()
 	off, _ := d.Next.CSR()
 	n, m2 := d.Next.N(), len(prevAdj)
 	if n == 0 {
@@ -120,13 +117,7 @@ func (s *Solver) repairD2(touched []int32) {
 		for wd != 0 {
 			v := int32(wi<<6 + bits.TrailingZeros64(wd))
 			wd &= wd - 1
-			m1 := off[v+1] - off[v]
-			for _, u := range adj[off[v]:off[v+1]] {
-				if deg := off[u+1] - off[u]; deg > m1 {
-					m1 = deg
-				}
-			}
-			d1[v] = m1
+			d1[v] = maxDegOver(adj[off[v]:off[v+1]], off, off[v+1]-off[v])
 			s.markNbhdSerial(ring2, v)
 		}
 	}
@@ -135,25 +126,10 @@ func (s *Solver) repairD2(touched []int32) {
 		for wd != 0 {
 			v := int32(wi<<6 + bits.TrailingZeros64(wd))
 			wd &= wd - 1
-			m2 := d1[v]
-			for _, u := range adj[off[v]:off[v+1]] {
-				if d1[u] > m2 {
-					m2 = d1[u]
-				}
-			}
-			d2[v] = m2
+			d2[v] = maxOver(adj[off[v]:off[v+1]], d1, d1[v])
 		}
 	}
 	for wi := range ring1 {
 		ring1[wi] = 0
-	}
-}
-
-// markNbhdSerial sets the bits of N[u] without the atomic path of markNbhd
-// (the repair is single-goroutine by construction).
-func (s *Solver) markNbhdSerial(words []uint64, u int32) {
-	words[u>>6] |= 1 << (uint32(u) & 63)
-	for _, nb := range s.adj[s.off[u]:s.off[u+1]] {
-		words[nb>>6] |= 1 << (uint32(nb) & 63)
 	}
 }

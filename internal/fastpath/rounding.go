@@ -78,7 +78,9 @@ func (s *Solver) roundPhases(x []float64, opt Options) Result {
 // its words of the flipped bitset outright; the draw is the first value of
 // the per-node stream (stats.StreamFloat64) keyed by ORIGINAL vertex id —
 // under a relabeling, drawID maps back — exactly as rounding.flip draws
-// it, so the coin flips match the other backends bit for bit.
+// it, so the coin flips match the other backends bit for bit. Comparing p = x·scale directly instead of
+// min(1, p) makes the same decisions: p ≥ 1 joins either way, and below 1
+// the two are equal.
 func (s *Solver) phaseFlip(c int) {
 	fw := s.flipped.Words()
 	x, d2, scaleTab := s.curX, s.d2, s.scaleTab
@@ -94,7 +96,7 @@ func (s *Solver) phaseFlip(c int) {
 		var dst uint64
 		for b := 0; b < top; b++ {
 			v := base + b
-			p := math.Min(1, x[v]*scaleTab[d2[v]])
+			p := x[v] * scaleTab[d2[v]]
 			if p >= 1 || (p > 0 && stats.StreamFloat64(seed, drawKey(drawID, v)) < p) {
 				dst |= 1 << b
 				joined++
@@ -130,18 +132,9 @@ func (s *Solver) phaseFixup(c int) {
 		for b := 0; b < top; b++ {
 			v := base + b
 			in := fw[wi]&(1<<b) != 0
-			if !in {
-				covered := false
-				for _, u := range adj[off[v]:off[v+1]] {
-					if fw[u>>6]&(1<<(uint32(u)&63)) != 0 {
-						covered = true
-						break
-					}
-				}
-				if !covered {
-					in = true
-					fix++
-				}
+			if !in && !anyBit(adj[off[v]:off[v+1]], fw) {
+				in = true
+				fix++
 			}
 			inDS[v] = in
 		}

@@ -120,12 +120,27 @@ type Solver struct {
 	gray    *bitset.Set // covered vertices
 	support *bitset.Set // vertices with δ̃ ≥ 1 (superset of the white set)
 	active  *bitset.Set // Algorithm 3's activity set, rebuilt per iteration
-	dirty   *bitset.Set // vertices whose covering sum must be re-evaluated
+	dirty   *bitset.Set // covering-recheck marks; rebuildWhite scratch; empty between uses
 	flipped *bitset.Set // rounding line-3 coin-flip winners
 
 	whiteCount   int
 	d2done       bool
 	lastRepaired bool // observability: last Resolve's path (see resolve.go)
+
+	// The graph, and the relabeling if one was set, that the cached
+	// δ⁽¹⁾/δ⁽²⁾ tables belong to. The solver holds both pointers, so no
+	// other graph can ever compare equal to them while they key the cache;
+	// array addresses cannot serve as the key, because unmapped files and
+	// dyngraph.Recycle hand the same arrays back holding another graph.
+	keyG     *graph.Graph
+	keyRelab *graph.Relabeled
+
+	// grayProbe is a test seam, nil outside tests and never set by any
+	// production path. When set, it sees every white→gray transition after
+	// the gray bits are set and before the δ̃/support update, with the path
+	// applyNewGray chose; TestGrayTransitionsAgree uses it to run both
+	// paths on copies of the same real mid-run state.
+	grayProbe func(s *Solver, rebuild bool)
 
 	// Relabeled-run state (nil/empty when Options.Relab is unset): the
 	// permutation for keying draws by original id, and the scatter buffers
@@ -149,7 +164,6 @@ type Solver struct {
 	nextChunk atomic.Int64
 	changed   [][]int32
 	newGray   [][]int32
-	zeroed    []int32  // applyNewGray scratch: vertices whose δ̃ hit zero
 	joinCnt   [][2]int // per-chunk {random, fixup} join counters
 
 	// Memoized derived tables, keyed by the inputs that produced them.
@@ -235,9 +249,7 @@ func (s *Solver) prepare(g *graph.Graph, opt Options, resetLP bool) error {
 			return fmt.Errorf("fastpath: Options.Relab was built from a different graph")
 		}
 		// Sweep the permuted CSR; draws and outputs are keyed back to
-		// original ids through drawID / the emit scatter. The permuted
-		// arrays are stable per Relabeled, so the sameGraph identity check
-		// and the d2 memo below keep working (keyed on the permuted off).
+		// original ids through drawID / the emit scatter.
 		off, adj = opt.Relab.CSR()
 		s.relab, s.drawID = opt.Relab, opt.Relab.Perm()
 		if opt.Algorithm == AlgWeighted {
@@ -252,13 +264,11 @@ func (s *Solver) prepare(g *graph.Graph, opt Options, resetLP bool) error {
 	}
 	// δ⁽¹⁾/δ⁽²⁾ are static graph properties; keep them across solves when
 	// the pooled solver sees the same graph again (a server answering many
-	// requests on one preloaded topology). Slice identity is a sound key:
-	// s.off keeps the previous graph's array alive, so no new graph can
-	// occupy that address while the solver holds it.
-	sameGraph := s.n == n && len(s.off) == len(off) && len(s.adj) == len(adj) &&
-		(len(off) == 0 || &s.off[0] == &off[0])
-	if !sameGraph {
+	// requests on one preloaded topology), keyed on the graph and the
+	// relabeling (see keyG).
+	if s.keyG != g || s.keyRelab != opt.Relab {
 		s.d2done = false
+		s.keyG, s.keyRelab = g, opt.Relab
 	}
 	s.ensure(n, workers)
 	s.off, s.adj = off, adj
@@ -556,39 +566,43 @@ func (s *Solver) markNbhd(words []uint64, u int32) {
 	}
 }
 
-// smallDegCutoff splits applyNewGray's decrement traversal into buckets:
-// vertices with at most this many neighbors touch a handful of scattered
-// cache lines, vertices above it stream long sorted adjacency runs.
-const smallDegCutoff = 64
+// markNbhdSerial sets the bits of N[u] without the atomic path of markNbhd,
+// for the single-goroutine callers (the δ⁽²⁾ repair and rebuildWhite).
+func (s *Solver) markNbhdSerial(words []uint64, u int32) {
+	words[u>>6] |= 1 << (uint32(u) & 63)
+	for _, nb := range s.adj[s.off[u]:s.off[u+1]] {
+		words[nb>>6] |= 1 << (uint32(nb) & 63)
+	}
+}
 
 // applyNewGray performs the white→gray transitions collected by the
-// covering recheck: the only serial step of an iteration. Each vertex turns
-// gray exactly once over the whole run, so the total cost of the δ̃
-// decrements is O(n + m) — this is what replaces the references'
-// trueDtil full rescans.
+// covering recheck: the only serial step of an iteration. It first sets the
+// new gray bits — the per-chunk newGray lists are ascending and the chunks
+// own disjoint ascending word ranges, so bits sharing a word accumulate into
+// one mask and land with a single OR — and then restores the invariant the
+// activity phases read:
 //
-// The transition runs in word-batched, degree-bucketed passes rather than
-// per-bit probes:
+//	δ̃(v) = |white ∩ N[v]| for every vertex v, and
+//	support = N[white] = {v : δ̃(v) ≥ 1},
 //
-//  1. Gray marking. The per-chunk newGray lists are ascending and the
-//     chunks own disjoint ascending word ranges, so the chunk-order
-//     concatenation is globally sorted; bits sharing a word accumulate
-//     into one mask and land with a single OR instead of one
-//     read-modify-write per vertex.
-//  2. δ̃ decrements, bucketed by degree. The small-degree bucket runs
-//     first — its updates are scattered single-cache-line touches that
-//     keep the dtil working set hot — and the large-degree bucket last,
-//     so its long sorted runs stream through dtil without interleaving
-//     evictions into the scattered updates. Decrements are commutative
-//     and each vertex's zero crossing happens exactly once regardless of
-//     order, so dtil and the zeroed set are bit-identical to the
-//     per-vertex order.
-//  3. Support clearing for the vertices whose δ̃ hit zero, collected into
-//     a scratch list during pass 2. At most n zero events occur over the
-//     whole run, so this pass costs O(n) total.
+// so δ̃ is exactly 0 off the support. Two paths restore it, chosen from the
+// counts at hand; both produce the same δ̃ and support words, bit for bit:
+//
+//   - rebuildWhite, when the new gray vertices outnumber the white vertices
+//     left by more than 4 to 1 (the first inner iteration typically covers
+//     nearly the whole graph at once): recompute the support and δ̃ from the
+//     few white vertices that remain.
+//   - decrementWhite otherwise: decrement δ̃ over N[v] of each new gray v.
+//
+// Neither path alone will do. Always rebuilding recounts the whole
+// remaining support on each of the many small transitions of the
+// PrefAttach and Alg2 runs; never rebuilding decrements over the ~98% of a
+// unit-disk graph that turns gray in its first iteration. The cutoff is
+// not sharp: 1:1 and 16:1 time within noise of 4:1 on the stage
+// benchmarks (BenchmarkFractionalFastpath).
 func (s *Solver) applyNewGray() {
 	gw := s.gray.Words()
-	off, adj, dtil, acnt := s.off, s.adj, s.dtil, s.acnt
+	acnt := s.acnt
 
 	marked := 0
 	curW := -1
@@ -611,30 +625,73 @@ func (s *Solver) applyNewGray() {
 	}
 	s.whiteCount -= marked
 
-	s.zeroed = s.zeroed[:0]
-	for pass := 0; pass < 2; pass++ {
-		for c := 0; c < s.nchunks; c++ {
-			for _, v := range s.newGray[c] {
-				begin, end := off[v], off[v+1]
-				small := int(end-begin) <= smallDegCutoff
-				if small != (pass == 0) {
-					continue
-				}
-				dtil[v]--
-				if dtil[v] == 0 {
-					s.zeroed = append(s.zeroed, v)
-				}
-				for _, u := range adj[begin:end] {
-					dtil[u]--
-					if dtil[u] == 0 {
-						s.zeroed = append(s.zeroed, u)
-					}
+	rebuild := marked > 4*s.whiteCount
+	if s.grayProbe != nil {
+		s.grayProbe(s, rebuild)
+	}
+	if rebuild {
+		s.rebuildWhite()
+	} else {
+		s.decrementWhite()
+	}
+}
+
+// decrementWhite is the incremental transition: each new gray vertex
+// decrements δ̃ over its closed neighborhood, and a vertex whose δ̃ reaches
+// zero leaves the support. Each vertex turns gray exactly once over the
+// whole run, so this path costs O(n + m) in total — it is what replaces the
+// references' full δ̃ rescans.
+func (s *Solver) decrementWhite() {
+	sw := s.support.Words()
+	off, adj, dtil := s.off, s.adj, s.dtil
+	for c := 0; c < s.nchunks; c++ {
+		for _, v := range s.newGray[c] {
+			dtil[v]--
+			if dtil[v] == 0 {
+				sw[v>>6] &^= 1 << (uint32(v) & 63)
+			}
+			for _, u := range adj[off[v]:off[v+1]] {
+				dtil[u]--
+				if dtil[u] == 0 {
+					sw[uint32(u)>>6] &^= 1 << (uint32(u) & 63)
 				}
 			}
 		}
 	}
+}
 
-	for _, v := range s.zeroed {
-		s.support.Clear(int(v))
+// rebuildWhite is the dense transition: it recomputes the support and δ̃
+// from the white set instead of decrementing. The dirty bitset is empty on
+// entry and is left empty. One call costs O(n/64) word operations, plus one
+// δ̃ store per vertex leaving the support, plus Σ (deg+1) over the white
+// vertices (marking N[white]) and over the new support (counting) — far
+// below the decrement path's Σ (deg+1) over the new gray vertices when
+// those vastly outnumber the white ones left.
+func (s *Solver) rebuildWhite() {
+	sw, gw, dw := s.support.Words(), s.gray.Words(), s.dirty.Words()
+	off, adj, dtil := s.off, s.adj, s.dtil
+	// dirty ← N[white]; white = support ∖ gray, as white ⊆ support.
+	for wi, w := range sw {
+		for wd := w &^ gw[wi]; wd != 0; wd &= wd - 1 {
+			s.markNbhdSerial(dw, int32(wi<<6+bits.TrailingZeros64(wd)))
+		}
 	}
+	// δ̃ = 0 for the vertices leaving the support; support ← N[white]; and
+	// dirty ← white (N[white] ∖ gray), the set the counts below test.
+	for wi, w := range sw {
+		for left := w &^ dw[wi]; left != 0; left &= left - 1 {
+			dtil[wi<<6+bits.TrailingZeros64(left)] = 0
+		}
+		sw[wi] = dw[wi]
+		dw[wi] &^= gw[wi]
+	}
+	// δ̃(v) = |white ∩ N[v]| over the new support.
+	for wi, w := range sw {
+		for wd := w; wd != 0; wd &= wd - 1 {
+			b := bits.TrailingZeros64(wd)
+			v := wi<<6 + b
+			dtil[v] = int32(dw[wi]>>b&1) + countBits(adj[off[v]:off[v+1]], dw)
+		}
+	}
+	clear(dw)
 }

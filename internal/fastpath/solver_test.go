@@ -1,6 +1,7 @@
 package fastpath
 
 import (
+	"slices"
 	"testing"
 
 	"kwmds/internal/core"
@@ -216,6 +217,56 @@ func TestPooledReuseAcrossGraphs(t *testing.T) {
 				t.Fatal(err)
 			}
 			sameX(t, ws[i].name, got, want)
+		}
+	}
+}
+
+// TestPooledReuseSameAddress hands one solver two different graphs whose
+// CSR arrays share an address: a star on 8 vertices is solved, then its
+// arrays are overwritten in place with the path on 8 vertices (also 7
+// edges) and wrapped as a new graph. Arrays come back like this when a
+// mapped graph file is closed and another one is mapped at the same
+// address, or when dyngraph.Recycle hands a retired snapshot's arrays to
+// the next one. The star's cached δ⁽¹⁾/δ⁽²⁾ tables must not be reused.
+func TestPooledReuseSameAddress(t *testing.T) {
+	star, err := gen.Star(8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	path, err := gen.Path(8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, alg := range []Algorithm{Alg3, Alg2} {
+		off, adj := star.CSR()
+		off, adj = slices.Clone(off), slices.Clone(adj)
+		first, err := graph.FromCSR(off, adj)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s := New()
+		opt := Options{K: 3, Algorithm: alg, Seed: 7, Workers: 1}
+		if _, err := s.Solve(first, opt); err != nil {
+			t.Fatal(err)
+		}
+		pOff, pAdj := path.CSR()
+		copy(off, pOff)
+		copy(adj, pAdj)
+		second, err := graph.FromCSR(off, adj)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := s.Solve(second, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := New().Solve(second, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sameX(t, "path after star", got.X, want.X)
+		if !slices.Equal(got.InDS, want.InDS) {
+			t.Fatalf("alg %d: members %v, want %v", alg, got.InDS, want.InDS)
 		}
 	}
 }
