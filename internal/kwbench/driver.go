@@ -89,7 +89,6 @@ func newDriver(sc *Scenario, concurrency int) (Driver, error) {
 			d.url = sc.HTTP.URL
 			d.workers = sc.HTTP.Workers
 			d.cacheEntries = sc.HTTP.CacheEntries
-			d.noBatch = sc.HTTP.NoBatch
 			d.maxQueue = sc.HTTP.MaxQueue
 			if sc.HTTP.TimeoutSec > 0 {
 				d.timeout = time.Duration(sc.HTTP.TimeoutSec * float64(time.Second))
@@ -241,7 +240,6 @@ type httpDriver struct {
 	workers      int
 	cacheEntries int
 	concurrency  int
-	noBatch      bool
 	timeout      time.Duration
 	maxQueue     int
 	queueTimeout time.Duration
@@ -277,12 +275,11 @@ func (d *httpDriver) Prepare(graphs []LoadedGraph) error {
 			m[lg.Name] = lg.G
 		}
 		d.srv = server.New(server.Config{
-			Workers:         d.workers,
-			CacheEntries:    d.cacheEntries,
-			Graphs:          m,
-			DisableBatching: d.noBatch,
-			MaxQueue:        d.maxQueue,
-			QueueTimeout:    d.queueTimeout,
+			Workers:      d.workers,
+			CacheEntries: d.cacheEntries,
+			Graphs:       m,
+			MaxQueue:     d.maxQueue,
+			QueueTimeout: d.queueTimeout,
 		})
 		d.ts = httptest.NewServer(d.srv.Handler())
 		d.baseURL = d.ts.URL

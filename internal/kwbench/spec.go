@@ -315,10 +315,6 @@ type RecoverySpec struct {
 
 // HTTPSpec tunes the http-serve driver.
 type HTTPSpec struct {
-	// NoBatch disables the spawned server's same-digest cold-solve
-	// batching (server.Config.DisableBatching) — the control arm for
-	// measuring the batching win. Ignored for remote targets.
-	NoBatch bool `json:"no_batch,omitempty"`
 	// URL targets a remote serve instance; "" spawns one in-process. A
 	// remote target must already have the scenario's graphs preloaded
 	// under their names.

@@ -43,7 +43,7 @@ func postSolveSeed(t *testing.T, url string, seed int64) *http.Response {
 // Retry-After and the stable "overloaded" error code — and the shed must
 // show up in /healthz and /metrics.
 func TestAdmissionQueueFull(t *testing.T) {
-	srv, ts := admissionServer(t, Config{Workers: 1, MaxQueue: 1, DisableBatching: true})
+	srv, ts := admissionServer(t, Config{Workers: 1, MaxQueue: 1})
 
 	srv.sem <- struct{}{} // occupy the only worker slot
 	waiter := make(chan error, 1)
@@ -127,7 +127,7 @@ func TestAdmissionQueueFull(t *testing.T) {
 // TestAdmissionQueueTimeout: an admitted solve whose slot wait outlives
 // QueueTimeout is shed with the same typed 429.
 func TestAdmissionQueueTimeout(t *testing.T) {
-	srv, ts := admissionServer(t, Config{Workers: 1, QueueTimeout: 25 * time.Millisecond, DisableBatching: true})
+	srv, ts := admissionServer(t, Config{Workers: 1, QueueTimeout: 25 * time.Millisecond})
 
 	srv.sem <- struct{}{} // hold the slot past the timeout
 	resp := postSolveSeed(t, ts.URL, 1)
@@ -155,7 +155,7 @@ func TestAdmissionQueueTimeout(t *testing.T) {
 // TestAdmissionUnboundedByDefault: MaxQueue 0 keeps the historical
 // queue-without-limit behavior.
 func TestAdmissionUnboundedByDefault(t *testing.T) {
-	srv, ts := admissionServer(t, Config{Workers: 1, DisableBatching: true})
+	srv, ts := admissionServer(t, Config{Workers: 1})
 	srv.sem <- struct{}{}
 	done := make(chan int, 1)
 	go func() {

@@ -13,7 +13,7 @@ import (
 )
 
 // waitersOn polls until the inflight call under key has exactly n waiters.
-func waitersOn(t *testing.T, c *resultCache, key string, n int) *inflightCall {
+func waitersOn[V any](t *testing.T, c *resultCache[V], key string, n int) *inflightCall[V] {
 	t.Helper()
 	deadline := time.Now().Add(5 * time.Second)
 	for time.Now().Before(deadline) {
@@ -37,12 +37,12 @@ func waitersOn(t *testing.T, c *resultCache, key string, n int) *inflightCall {
 // context error immediately, while the computation keeps running for the
 // remaining waiter and its result still lands in the cache.
 func TestCancelOneWaiterOfMany(t *testing.T) {
-	c := newResultCache(4)
+	c := newResultCache[*graphio.SolveResponse](4)
 	release := make(chan struct{})
 	var sawCancel atomic.Bool
-	compute := func(cancel <-chan struct{}) (*graphio.SolveResponse, error) {
+	compute := func(ctx context.Context) (*graphio.SolveResponse, error) {
 		select {
-		case <-cancel:
+		case <-ctx.Done():
 			sawCancel.Store(true)
 			return nil, errSolveAbandoned
 		case <-release:
@@ -94,14 +94,14 @@ func TestCancelOneWaiterOfMany(t *testing.T) {
 }
 
 // TestCancelAllWaiters: when every caller abandons the call, the compute's
-// cancel channel closes, its error is not cached, and a later request for
+// context is canceled, its error is not cached, and a later request for
 // the same key starts a fresh computation.
 func TestCancelAllWaiters(t *testing.T) {
-	c := newResultCache(4)
+	c := newResultCache[*graphio.SolveResponse](4)
 	var calls atomic.Int32
-	compute := func(cancel <-chan struct{}) (*graphio.SolveResponse, error) {
+	compute := func(ctx context.Context) (*graphio.SolveResponse, error) {
 		if calls.Add(1) == 1 {
-			<-cancel // first run only completes by cancellation
+			<-ctx.Done() // first run only completes by cancellation
 			return nil, errSolveAbandoned
 		}
 		return &graphio.SolveResponse{Size: 9}, nil

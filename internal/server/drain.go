@@ -33,11 +33,11 @@ func newHTTPServer(h http.Handler, read time.Duration) *http.Server {
 // Graceful serves h on ln until stop closes (or receives), then drains: the
 // listener closes immediately — new connections are refused — while requests
 // already in flight run to completion. That includes solves queued on the
-// worker pool and solves riding a batch window: their handler goroutines
-// block until the batcher answers, and Shutdown waits for every active
-// handler, so the final batch flushes before the process exits. Returns nil
-// after a clean drain (the caller exits 0), the serve or drain error
-// otherwise. timeout bounds the drain; 0 waits indefinitely.
+// worker pool and solves waiting on a shared LP stage: their handler
+// goroutines block until the computation answers, and Shutdown waits for
+// every active handler, so they are all answered before the process exits.
+// Returns nil after a clean drain (the caller exits 0), the serve or drain
+// error otherwise. timeout bounds the drain; 0 waits indefinitely.
 func Graceful(ln net.Listener, h http.Handler, stop <-chan struct{}, timeout time.Duration) error {
 	hs := newHTTPServer(h, readTimeout)
 	errc := make(chan error, 1)

@@ -80,8 +80,8 @@ func TestGracefulDrain(t *testing.T) {
 }
 
 // TestGracefulDrainRealServer smoke-tests the drain against the actual
-// service: a solve dispatched just before stop — one that rides the batcher
-// window — must still be answered 200 and the drain must return nil.
+// service: a solve dispatched just before stop — one still running its LP
+// stage — must still be answered 200 and the drain must return nil.
 func TestGracefulDrainRealServer(t *testing.T) {
 	g, err := gen.UnitDisk(300, 0.1, 5)
 	if err != nil {
@@ -122,7 +122,7 @@ func TestGracefulDrainRealServer(t *testing.T) {
 		resc <- result{status: resp.StatusCode, body: body}
 	}()
 	// Fire the drain while the solve handler is running — typically still
-	// inside the batcher window; either way the handler must finish.
+	// inside the LP stage; either way the handler must finish.
 	<-entered
 	close(stop)
 

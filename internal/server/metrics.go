@@ -37,7 +37,7 @@ func (s *Server) observeSolve(engine string, ms float64) {
 //	kwmds_cache_entries / _hits_total / _misses_total / _hit_rate
 //	kwmds_pool_workers / kwmds_pool_in_use
 //	kwmds_sheds_total / kwmds_queue_depth / kwmds_queue_limit
-//	kwmds_solve_batches_total / kwmds_batched_solves_total
+//	kwmds_solve_batches_total / kwmds_batched_solves_total  (LP memo)
 //	kwmds_graphs
 //	kwmds_solve_latency_ms{engine,quantile} + _sum/_count   (cold solves)
 //	kwmds_wal_*{graph}                                      (durable graphs)
@@ -74,9 +74,9 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	fmt.Fprintf(&b, "kwmds_queue_limit %d\n", s.cfg.MaxQueue)
 
 	batches, batched := s.BatchStats()
-	writeFamily(&b, "kwmds_solve_batches_total", "counter", "Batched cold-solve groups run.")
+	writeFamily(&b, "kwmds_solve_batches_total", "counter", "LP stage runs started by the LP memo.")
 	fmt.Fprintf(&b, "kwmds_solve_batches_total %d\n", batches)
-	writeFamily(&b, "kwmds_batched_solves_total", "counter", "Cold solves that rode a batch.")
+	writeFamily(&b, "kwmds_batched_solves_total", "counter", "Fast-engine cold solves served from a shared LP run.")
 	fmt.Fprintf(&b, "kwmds_batched_solves_total %d\n", batched)
 
 	s.gmu.RLock()

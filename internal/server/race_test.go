@@ -43,7 +43,7 @@ func TestConcurrentRequests(t *testing.T) {
 		`{"graph_ref":"gnp","seed":1,"algo":"kwcds"}`,
 		`{"graph_ref":"gnp","seed":3,"variant":"ln-lnln"}`,
 		`{"graph":{"n":5,"edges":[[0,1],[1,2],[2,3],[3,4]]},"seed":1}`,
-		`{"graph_ref":"udg","k":-1}`,      // 400
+		`{"graph_ref":"udg","k":-1}`,       // 400
 		`{"graph_ref":"missing","seed":1}`, // 404
 		`not even json`,                    // 400
 	}
@@ -108,12 +108,12 @@ func TestConcurrentRequests(t *testing.T) {
 // TestSingleFlight checks that concurrent misses on one key run the solver
 // exactly once and share its result.
 func TestSingleFlight(t *testing.T) {
-	c := newResultCache(4)
+	c := newResultCache[*graphio.SolveResponse](4)
 	var computes sync.WaitGroup
 	computes.Add(1)
 	var calls int32
 	var mu sync.Mutex
-	compute := func(<-chan struct{}) (*graphio.SolveResponse, error) {
+	compute := func(context.Context) (*graphio.SolveResponse, error) {
 		mu.Lock()
 		calls++
 		mu.Unlock()

@@ -17,6 +17,7 @@ import (
 	"time"
 
 	"kwmds"
+	"kwmds/internal/cds"
 	"kwmds/internal/dyngraph"
 	"kwmds/internal/graph"
 	"kwmds/internal/graphio"
@@ -35,14 +36,14 @@ type Config struct {
 	// admission unbounded — the pre-admission-control behavior, where an
 	// overloaded server queues without limit.
 	MaxQueue int
-	// QueueTimeout bounds how long an admitted solve may wait for a worker
-	// slot; one whose wait outlives it is shed with 429. It gates the solo
-	// solve path (batch riders are bounded by MaxQueue depth only — a
-	// batch claims its slot as a unit). 0 disables the timeout.
+	// QueueTimeout bounds how long an admitted computation may wait for a
+	// worker slot; one whose wait outlives it is shed with 429. It gates
+	// every slot wait: inline graph builds, LP stages and rounding stages.
+	// 0 disables the timeout.
 	QueueTimeout time.Duration
 	// CacheEntries is the LRU capacity in results. 0 selects the default
-	// of 256; a negative value disables caching (single-flight coalescing
-	// still applies).
+	// of 256; a negative value disables retention in both the result cache
+	// and the LP memo (single-flight coalescing still applies).
 	CacheEntries int
 	// Graphs are the preloaded topologies addressable via "graph_ref".
 	Graphs map[string]*graph.Graph
@@ -60,11 +61,6 @@ type Config struct {
 	// enormous vertex count and graph.New allocates O(n) regardless —
 	// unchecked, a 40-byte request could OOM the process. Default 2e6.
 	MaxInlineVertices int
-	// DisableBatching turns off same-digest cold-solve batching (see
-	// solveBatcher): every cold solve then runs solo through the worker
-	// pool. Outputs are identical either way; the switch exists for
-	// benchmarking the batching win and as an operational escape hatch.
-	DisableBatching bool
 	// Reorder, when set, runs cold Sequential solves of preloaded graphs
 	// over a cached degree-ordered relabeling of the topology
 	// (kwmds.Reorder) for better cache locality on skewed-degree graphs.
@@ -88,14 +84,16 @@ type Preload struct {
 type Server struct {
 	cfg   Config
 	sem   chan struct{}
-	cache *resultCache
-	mux   *http.ServeMux
+	cache *resultCache[*graphio.SolveResponse]
+	// lps memoizes the deterministic LP stage per (digest, LP
+	// configuration); see runMemo.
+	lps *resultCache[*kwmds.FractionalResult]
+	mux *http.ServeMux
 	// gmu guards the graph registry (graphs, names): DELETE removes
 	// entries at runtime, so every lookup takes the read lock.
-	gmu     sync.RWMutex
-	graphs  map[string]*preloaded
-	names   []string
-	batcher solveBatcher
+	gmu    sync.RWMutex
+	graphs map[string]*preloaded
+	names  []string
 	// Admission-control counters: queued is the number of computations
 	// currently inside the admission queue (waiting for, or about to take,
 	// a worker slot) and sheds the lifetime count of solves refused with
@@ -164,6 +162,11 @@ func (p *preloaded) reorderFor(g *graph.Graph) *graph.Relabeled {
 	return rl
 }
 
+// lpMemoEntries is the LP memo's capacity in fractional solutions. An
+// epoch's entries are dropped when a mutation retires its digest, so a few
+// slots cover the live LP configurations of the current epochs.
+const lpMemoEntries = 8
+
 // New builds a Server from cfg, applying defaults for zero fields.
 func New(cfg Config) *Server {
 	if cfg.Workers <= 0 {
@@ -172,8 +175,9 @@ func New(cfg Config) *Server {
 	if cfg.CacheEntries == 0 {
 		cfg.CacheEntries = 256
 	}
+	lpEntries := lpMemoEntries
 	if cfg.CacheEntries < 0 {
-		cfg.CacheEntries = 0
+		cfg.CacheEntries, lpEntries = 0, 0
 	}
 	if cfg.MaxBodyBytes <= 0 {
 		cfg.MaxBodyBytes = 64 << 20
@@ -184,12 +188,12 @@ func New(cfg Config) *Server {
 	s := &Server{
 		cfg:       cfg,
 		sem:       make(chan struct{}, cfg.Workers),
-		cache:     newResultCache(cfg.CacheEntries),
+		cache:     newResultCache[*graphio.SolveResponse](cfg.CacheEntries),
+		lps:       newResultCache[*kwmds.FractionalResult](lpEntries),
 		mux:       http.NewServeMux(),
 		graphs:    make(map[string]*preloaded, len(cfg.Graphs)+len(cfg.Preloads)),
 		solveHist: make(map[string]*solveStats),
 	}
-	s.batcher.groups = make(map[string][]*batchItem)
 	for name, g := range cfg.Graphs {
 		raw := graphio.DigestRaw(g)
 		s.graphs[name] = &preloaded{dyn: dyngraph.New(g), digest: hex.EncodeToString(raw[:]), rawDigest: raw}
@@ -415,12 +419,18 @@ func (s *Server) solve(ctx context.Context, req *graphio.SolveRequest) (*graphio
 			req.Weights = costs
 		}
 	} else {
-		// Materialize and digest under the worker semaphore: decoding a
-		// body-sized edge list and building its CSR is real allocation
-		// and CPU, and must not run unbounded on N request goroutines
-		// (the envelope decode upstream keeps the graph as raw bytes).
+		// Materialize and digest under a worker slot, through admission
+		// control like any computation: decoding a body-sized edge list
+		// and building its CSR is real allocation and CPU, and must not
+		// run unbounded on N request goroutines (the envelope decode
+		// upstream keeps the graph as raw bytes).
+		if err := s.admit(ctx.Done()); err != nil {
+			if errors.Is(err, errSolveAbandoned) {
+				return nil, ctx.Err()
+			}
+			return nil, err
+		}
 		var err error
-		s.sem <- struct{}{}
 		g, err = req.BuildGraph(s.cfg.MaxInlineVertices)
 		if err == nil {
 			digest = graphio.Digest(g)
@@ -460,29 +470,21 @@ func (s *Server) solve(ctx context.Context, req *graphio.SolveRequest) (*graphio
 	}
 
 	key := cacheKey(digest, req, opts)
-	cached, hit, err := s.cache.getOrCompute(ctx, key, func(cancel <-chan struct{}) (*graphio.SolveResponse, error) {
-		// Distinct-key cold solves sharing a digest ride one batched
-		// DominatingSetMany run (see batch.go); everything else takes a
-		// worker slot and runs solo.
-		//
-		// cancel closes when every coalesced client has disconnected. The
-		// queue wait honors it everywhere; the solve itself honors it only
-		// on the solo path (batch riders share one run with live requests —
-		// aborting it for one dead client would cost more than finishing).
-		if s.cfg.Reorder && pre != nil && opts.Sequential {
-			// Attach the cached relabeling (built once per topology).
-			// Batched riders of one preload share the pointer, so a whole
-			// digest group runs over one permuted CSR.
-			opts.Reordered = pre.reorderFor(g)
+	cached, hit, err := s.cache.getOrCompute(ctx, key, func(ctx context.Context) (*graphio.SolveResponse, error) {
+		// ctx ends when every coalesced client has disconnected; the slot
+		// waits and the solver's LP iterations honor it.
+		if opts.Sequential {
+			if s.cfg.Reorder && pre != nil {
+				// Attach the cached relabeling (built once per topology).
+				opts.Reordered = pre.reorderFor(g)
+			}
+			return s.runMemo(ctx, g, digest, req.Algo, req.Engine, opts)
 		}
-		if s.batchable(req.Algo, opts) {
-			return s.solveBatched(g, digest, req.Algo, req.Engine, opts)
-		}
-		if err := s.admit(cancel); err != nil {
+		if err := s.admit(ctx.Done()); err != nil {
 			return nil, err
 		}
 		defer func() { <-s.sem }()
-		opts.Cancel = cancel
+		opts.Cancel = ctx.Done()
 		return s.run(g, digest, req.Algo, req.Engine, opts)
 	})
 	if err != nil {
@@ -513,10 +515,11 @@ func (s *Server) solve(ctx context.Context, req *graphio.SolveRequest) (*graphio
 // write lock spans apply + commit + digest + WAL append so concurrent
 // solves always see a consistent (graph, digest, epoch) triple and records
 // land in the log in epoch order; solves already running keep their
-// immutable snapshot. Cache entries under the pre-mutation digest are
-// dropped. On a durable graph the 200 waits for the record's fsync — which
-// happens after the lock is released, so concurrent mutates of one graph
-// ride a single group-commit fsync — unless the request says sync=false.
+// immutable snapshot. Cache and LP memo entries under the pre-mutation
+// digest are dropped. On a durable graph the 200 waits for the record's
+// fsync — which happens after the lock is released, so concurrent mutates
+// of one graph ride a single group-commit fsync — unless the request says
+// sync=false.
 func (s *Server) handleMutate(w http.ResponseWriter, r *http.Request) {
 	name := r.PathValue("name")
 	p, ok := s.lookup(name)
@@ -602,6 +605,7 @@ func (s *Server) handleMutate(w http.ResponseWriter, r *http.Request) {
 		p.digest = hex.EncodeToString(p.rawDigest[:])
 		p.reorder = nil // the relabeling describes the old topology
 		s.cache.invalidateDigest(oldDigest)
+		s.lps.invalidateDigest(oldDigest)
 	}
 	if rec != nil {
 		rec.Epoch = delta.Epoch
@@ -683,8 +687,78 @@ func (s *Server) handleDelete(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, map[string]any{"name": name, "epoch": epoch, "deleted": true})
 }
 
-// run executes one pipeline configuration. Members are always materialized
-// into the cached response; solve strips them per request.
+// runMemo answers a fast-engine cold solve from its epoch's memoized LP
+// stage. The LP stage is deterministic (the seed enters only at rounding),
+// so the first cold solve of a (digest, LP configuration) runs
+// FractionalDominatingSet as a single-flight computation and every later
+// one — whatever its seed or rounding variant — reuses the result and runs
+// only RoundFractional. The LP flight takes its own worker slot and the
+// rounding another afterwards: no goroutine holds a slot while it waits on
+// a flight, so a flight's owner can always be admitted. frac answers
+// straight from the memo entry. elapsed_ms is the LP wait plus the
+// rounding, without the rounding's slot wait.
+func (s *Server) runMemo(ctx context.Context, g *graph.Graph, digest, algo, engine string, opts kwmds.Options) (*graphio.SolveResponse, error) {
+	start := time.Now()
+	frac, _, err := s.lps.getOrCompute(ctx, digest+"|"+lpKey(opts), func(ctx context.Context) (*kwmds.FractionalResult, error) {
+		if err := s.admit(ctx.Done()); err != nil {
+			return nil, err
+		}
+		defer func() { <-s.sem }()
+		lpOpts := opts
+		lpOpts.Cancel = ctx.Done()
+		return kwmds.FractionalDominatingSet(g, lpOpts)
+	})
+	if err != nil {
+		return nil, err
+	}
+	elapsed := time.Since(start)
+	resp := &graphio.SolveResponse{Digest: digest, Algo: algo, Engine: engine, N: g.N(), M: g.M()}
+	if algo == "frac" {
+		resp.K, resp.LPObjective, resp.Bound = frac.K, frac.Objective, frac.Bound
+	} else {
+		if err := s.admit(ctx.Done()); err != nil {
+			return nil, err
+		}
+		start = time.Now()
+		res, err := kwmds.RoundFractional(g, frac, opts)
+		if err == nil && algo == "kwcds" {
+			err = connect(g, res, opts.Weights)
+		}
+		<-s.sem
+		if err != nil {
+			return nil, err
+		}
+		elapsed += time.Since(start)
+		fillResult(resp, res)
+	}
+	resp.ElapsedMS = float64(elapsed) / float64(time.Millisecond)
+	return resp, nil
+}
+
+// connect is kwmds.ConnectedDominatingSet's post-pass over a rounded
+// result: bridge the dominator clusters, then re-cost the grown set in
+// vertex order, as the facade does.
+func connect(g *graph.Graph, res *kwmds.Result, weights []float64) error {
+	cres, err := cds.Connect(g, res.InDS)
+	if err != nil {
+		return err
+	}
+	res.InDS, res.Size, res.Connectors = cres.InCDS, cres.Size, cres.Connectors
+	res.WeightedCost = float64(res.Size)
+	if weights != nil {
+		res.WeightedCost = 0
+		for v, in := range res.InDS {
+			if in {
+				res.WeightedCost += weights[v]
+			}
+		}
+	}
+	return nil
+}
+
+// run executes one pipeline configuration on the sim engine. Members are
+// always materialized into the cached response; solve strips them per
+// request.
 func (s *Server) run(g *graph.Graph, digest, algo, engine string, opts kwmds.Options) (*graphio.SolveResponse, error) {
 	resp := &graphio.SolveResponse{Digest: digest, Algo: algo, Engine: engine, N: g.N(), M: g.M()}
 	start := time.Now()
@@ -738,6 +812,13 @@ func cacheKey(digest string, req *graphio.SolveRequest, opts kwmds.Options) stri
 	}
 	return fmt.Sprintf("%s|%s|%d|%d|%s|%s|%s",
 		digest, req.Algo, opts.K, opts.Seed, variant, req.Engine, weightsKey(opts.Weights))
+}
+
+// lpKey names an LP configuration: everything FractionalDominatingSet's x
+// depends on besides the topology. Seed, variant, members and the
+// relabeling are deliberately absent — the LP stage never reads them.
+func lpKey(opts kwmds.Options) string {
+	return fmt.Sprintf("%d|%t|%s", opts.K, opts.KnownDelta, weightsKey(opts.Weights))
 }
 
 // weightsKey hashes the cost vector (FNV-64 over the IEEE bits); "-" for
@@ -797,6 +878,17 @@ func (s *Server) Stats() (entries int, hits, misses int64) {
 // queue. Also served by /healthz and /metrics.
 func (s *Server) QueueStats() (sheds, queueDepth int64) {
 	return s.sheds.Load(), s.queued.Load()
+}
+
+// BatchStats reports the LP memo's lifetime counters: LP stage runs
+// started, and the fast-engine cold solves served from them (each cold
+// solve counts once, the one that started the run included), so
+// batchedSolves / batches is the achieved amortization factor. Also served
+// by /healthz and /metrics under the names solve_batches and
+// batched_solves.
+func (s *Server) BatchStats() (batches, batchedSolves int64) {
+	_, hits, misses := s.lps.stats()
+	return misses, hits + misses
 }
 
 func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {

@@ -196,9 +196,9 @@ func TestSolveCache(t *testing.T) {
 }
 
 func TestCacheEviction(t *testing.T) {
-	c := newResultCache(2)
+	c := newResultCache[*graphio.SolveResponse](2)
 	mk := func(k string) (*graphio.SolveResponse, bool) {
-		v, hit, err := c.getOrCompute(context.Background(), k, func(<-chan struct{}) (*graphio.SolveResponse, error) {
+		v, hit, err := c.getOrCompute(context.Background(), k, func(context.Context) (*graphio.SolveResponse, error) {
 			return &graphio.SolveResponse{Digest: k}, nil
 		})
 		if err != nil {

@@ -99,7 +99,8 @@ type Result struct {
 	// Fractional is the LP stage's x-vector (a feasible fractional
 	// dominating set). The slice is owned by the caller: it never aliases
 	// solver-internal or pooled storage, so callers (and cache entries
-	// holding a Result) may keep or mutate it freely.
+	// holding a Result) may keep or mutate it freely. RoundFractional's
+	// result shares it with the FractionalResult it rounded.
 	Fractional []float64
 	// LPObjective is Σx of the fractional stage.
 	LPObjective float64
@@ -285,14 +286,66 @@ func fastDominatingSet(g *Graph, opts Options) (*Result, error) {
 	return res, nil
 }
 
+// RoundFractional runs only the rounding stage (Algorithm 1) over frac.X,
+// on the engine opts selects: the pooled fastpath solver when Sequential,
+// the message-passing simulation otherwise. The LP stage is deterministic
+// and the seed enters only here, so a caller holding one fractional
+// solution can draw any number of dominating sets from it. When frac comes
+// from FractionalDominatingSet(g, opts), the result is bit-identical to
+// DominatingSet(g, opts); LPObjective, K and the LP stage's simulation
+// statistics are taken from frac, not recomputed. frac is not modified;
+// Result.Fractional is frac.X itself, not a copy, so a caller rounding one
+// fractional solution many times allocates only the membership vector per
+// call.
+func RoundFractional(g *Graph, frac *FractionalResult, opts Options) (*Result, error) {
+	if err := opts.Validate(g); err != nil {
+		return nil, fmt.Errorf("kwmds: %w", err)
+	}
+	if frac == nil {
+		return nil, fmt.Errorf("kwmds: nil fractional result")
+	}
+	res := &Result{
+		Fractional:  frac.X,
+		LPObjective: frac.Objective,
+		K:           frac.K,
+		Rounds:      frac.Rounds,
+		Messages:    frac.Messages,
+		Bits:        frac.Bits,
+	}
+	if opts.Sequential {
+		s := fastpath.Acquire(g.N())
+		rres, err := s.Round(g, frac.X, fastOptions(opts, frac.K))
+		if err != nil {
+			fastpath.Release(s)
+			return nil, fmt.Errorf("kwmds: %w", err)
+		}
+		res.InDS = append(make([]bool, 0, len(rres.InDS)), rres.InDS...)
+		res.Size, res.JoinedRandom, res.JoinedFixup = rres.Size, rres.JoinedRandom, rres.JoinedFixup
+		fastpath.Release(s)
+	} else {
+		rres, err := rounding.Round(g, frac.X, rounding.Options{Seed: opts.Seed, Variant: opts.Variant})
+		if err != nil {
+			return nil, fmt.Errorf("kwmds: %w", err)
+		}
+		res.InDS, res.Size = rres.InDS, rres.Size
+		res.JoinedRandom, res.JoinedFixup = rres.JoinedRandom, rres.JoinedFixup
+		res.Rounds += rres.Rounds
+		res.Messages += rres.Messages
+		res.Bits += rres.Bits
+	}
+	res.WeightedCost = weightedCost(opts.Weights, res.InDS, res.Size)
+	return res, nil
+}
+
 // DominatingSetMany runs the full pipeline once per element of optsList
 // against one graph on a single pooled solver, amortizing solver
 // acquisition, table setup and — for consecutive elements sharing an LP
 // configuration (K/KnownDelta/Weights) — the deterministic LP stage itself,
 // so only the rounding phases run per element. Every returned Result is
 // bit-identical to DominatingSet with the same options; all elements run
-// Sequential (the batch is a fastpath concept). This is the serve
-// subsystem's cold-path batching primitive.
+// Sequential (the batch is a fastpath concept). Callers that hold a list of
+// solves up front use it; a server that sees solves arrive one at a time
+// keeps the FractionalDominatingSet result and calls RoundFractional.
 func DominatingSetMany(g *Graph, optsList []Options) ([]*Result, error) {
 	if len(optsList) == 0 {
 		return nil, nil
